@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import GROUND, QUBIT1, SystemParams, collapse_operators, hamiltonian
 
@@ -130,6 +129,8 @@ def nojump_amplitudes(inputs: AnalyticInputs, t: float) -> np.ndarray:
     the outer product of this vector, with the deficit added to the ground
     population, reproduces :func:`analytic_rho`.
     """
+    from scipy.linalg import expm
+
     if t < 0:
         raise ValueError("time must be non-negative")
     n1 = math.sqrt(inputs.n1_sq)

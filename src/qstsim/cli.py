@@ -14,6 +14,7 @@ failure, 5 I/O failure.
 """
 
 import argparse
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .core import (
     SystemParams,
     initial_state,
 )
-from .lindblad import IntegratorConfig, StepSizeUnderflow, integrate
+from .lindblad import integrate
 from .measurement import DegenerateReversal, ZeroProbability, apply_measurement_qubit1
 from .output import (
     csv_mirror,
@@ -60,8 +61,14 @@ class ValidationError(Exception):
 # option schema: shared parsing for flags and config files
 
 
+def _finite(value):
+    if not cmath.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
 def _parse_float(text: str) -> float:
-    return float(text)
+    return _finite(float(text))
 
 
 def _parse_int(text: str) -> int:
@@ -78,11 +85,11 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_complex(text: str) -> complex:
-    return complex(text.replace(" ", ""))
+    return _finite(complex(text.replace(" ", "")))
 
 
 def _parse_float_list(text: str) -> tuple:
-    return tuple(float(part) for part in text.split(","))
+    return tuple(_parse_float(part) for part in text.split(","))
 
 
 def _parse_formats(text: str) -> tuple:
@@ -129,6 +136,7 @@ class Option:
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_NORM_SLACK = 4 * sys.float_info.epsilon
 _T_MAX_DEFAULT = 4.0 * full_transfer_time(1.0)
 
 _OUTPUT_OPTS = (
@@ -153,10 +161,9 @@ _RATE_OPTS = (
     Option("g1", _parse_float, 1.0, "qubit-1 coupling"),
     Option("g2", _parse_float, 1.0, "qubit-2 coupling"),
 )
-_STEPPER_OPTS = (
-    Option("step-size", _parse_float, 0.005, "maximum integrator step (1/g_ref)"),
-    Option("tolerance", _parse_float, 1e-10, "local error target per step"),
-)
+# keys of the retired Runge-Kutta stepper: config files written before the
+# exact propagator may still hold them, so they are read and ignored
+_RETIRED_KEYS = ("step-size", "tolerance")
 
 _SCHEMAS: "dict[str, tuple[Option, ...]]" = {
     "evolve": (
@@ -166,7 +173,6 @@ _SCHEMAS: "dict[str, tuple[Option, ...]]" = {
         Option("grid-start", _parse_float, 0.0, "first sample time (g*t)"),
         Option("grid-stop", _parse_float, 6.0, "last sample time (g*t)"),
         Option("grid-points", _parse_int, 241, "number of samples"),
-        *_STEPPER_OPTS,
         *_OUTPUT_OPTS,
     ),
     "protocol": (
@@ -178,7 +184,6 @@ _SCHEMAS: "dict[str, tuple[Option, ...]]" = {
         Option("engine", _parse_choice("analytic", "numeric"), "analytic", "evolution engine"),
         Option("sigma-z", _parse_bool, True, "apply the sigma_z correction"),
         *_RATE_OPTS,
-        *_STEPPER_OPTS,
         *_SCALAR_OUTPUT_OPTS,
     ),
     "optimize-q": (
@@ -190,7 +195,6 @@ _SCHEMAS: "dict[str, tuple[Option, ...]]" = {
         Option("grid-points", _parse_int, 1000, "q grid size before refinement"),
         Option("refine-tol", _parse_float, 1e-8, "golden-section bracket width"),
         *_RATE_OPTS,
-        *_STEPPER_OPTS,
         *_SCALAR_OUTPUT_OPTS,
     ),
     "fig2": (
@@ -226,7 +230,6 @@ _SCHEMAS: "dict[str, tuple[Option, ...]]" = {
         Option("grid-start", _parse_float, 0.0, "first g*t"),
         Option("grid-stop", _parse_float, 6.0, "last g*t"),
         Option("grid-points", _parse_int, 241, "time grid size"),
-        *_STEPPER_OPTS,
         *_OUTPUT_OPTS,
     ),
 }
@@ -328,6 +331,8 @@ def parse_config(argv: "list[str]") -> RunConfig:
     raw: "dict[str, str]" = {}
     if namespace.config:
         raw.update(_read_config_file(namespace.config))
+        for key in _RETIRED_KEYS:
+            raw.pop(key, None)
     file_command = raw.pop("command", None)
     if file_command is not None and file_command != command:
         raise ValidationError(
@@ -385,14 +390,17 @@ def _resolve_and_validate(
             if values.get(key) is None:
                 values[key] = common if common is not None else 0.0
 
-    # normalize the qubit amplitudes; flags are often 4-digit decimals
+    # normalize the qubit amplitudes; flags are often 4-digit decimals.
+    # Amplitudes already normalized to within a few ulp, as replayed from
+    # meta.config, keep their bits: dividing again would move the last
+    # digits and, through a flat optimum, the replayed results.
     alpha = values.get("alpha")
     beta = values.get("beta")
     if alpha is not None and beta is not None:
         norm = math.sqrt(float(alpha) ** 2 + abs(complex(beta)) ** 2)
         if not (norm > 0 and math.isfinite(norm)):
             errors.append("invalid amplitudes: alpha^2 + |beta|^2 must be positive")
-        else:
+        elif abs(norm - 1.0) > _NORM_SLACK:
             values["alpha"] = float(alpha) / norm
             values["beta"] = complex(beta) / norm
 
@@ -424,15 +432,6 @@ def _system_params(values) -> SystemParams:
     )
 
 
-def _integrator(values) -> IntegratorConfig:
-    horizon = max(20.0, float(values.get("grid-stop", 0.0)), float(values.get("gt") or 0.0))
-    return IntegratorConfig(
-        step_size=values["step-size"],
-        tolerance=values["tolerance"],
-        max_time=horizon * 1.000001,
-    )
-
-
 def _protocol_spec(values, q_rule=None, q_value=None) -> ProtocolSpec:
     params = _system_params(values)
     gt = values.get("gt")
@@ -445,7 +444,6 @@ def _protocol_spec(values, q_rule=None, q_value=None) -> ProtocolSpec:
         q_value=q_value if q_value is not None else values.get("q"),
         transfer_time=transfer_time,
         engine=values["engine"],
-        integrator=_integrator(values),
         apply_sigma_z=values["sigma-z"],
     )
 
@@ -487,11 +485,6 @@ def _dephasing_sweep_spec(values) -> SweepSpec:
         p=values["p"],
         gamma_phi_over_g=values["gamma-phi-over-g"],
         include_baseline=False,
-        integrator=IntegratorConfig(
-            step_size=values["step-size"],
-            tolerance=values["tolerance"],
-            max_time=max(20.0, values["grid-stop"] * 1.000001),
-        ),
     )
 
 
@@ -508,7 +501,6 @@ def _build_runtime(effective: str, values):
             raise ValueError("grid-start must be below grid-stop")
         if values["grid-points"] < 2:
             raise ValueError("grid-points must be at least 2")
-        IntegratorConfig(values["step-size"], values["tolerance"])
     elif effective == "protocol":
         spec = _protocol_spec(values)
         if spec.q_rule == "formula" and spec.params.equal_decay_rate() is None:
@@ -628,12 +620,7 @@ def _run_evolve(cfg: RunConfig) -> "list[Path]":
     qubit = _qubit(values)
     pre = apply_measurement_qubit1(initial_state(qubit), values["p"])
     gts = np.linspace(values["grid-start"], values["grid-stop"], values["grid-points"])
-    times = gts / params.g_ref
-    positive = times[times > 0]
-    states = [pre.state] * (len(times) - len(positive))
-    if positive.size:
-        config = _integrator(values)
-        states = states + list(integrate(params, pre.state, config, positive).states)
+    states = integrate(params, pre.state, gts / params.g_ref).states
 
     populations = {
         "pop_ground": GROUND,
@@ -641,13 +628,10 @@ def _run_evolve(cfg: RunConfig) -> "list[Path]":
         "pop_photon": PHOTON,
         "pop_qubit2": QUBIT2,
     }
-    columns = {
-        name: np.array([s[i, i].real for s in states]) for name, i in populations.items()
-    }
+    columns = {name: states[:, i, i].real for name, i in populations.items()}
     for name, i, j in _COHERENCES:
-        entries = np.array([s[i, j] for s in states])
-        columns[f"re_{name}"] = entries.real
-        columns[f"im_{name}"] = entries.imag
+        columns[f"re_{name}"] = states[:, i, j].real
+        columns[f"im_{name}"] = states[:, i, j].imag
 
     directory = _out_dir(values)
     formats = values["formats"]
@@ -708,7 +692,6 @@ def _run_optimize_q(cfg: RunConfig) -> "list[Path]":
                 q_rule="formula",
                 transfer_time=spec.transfer_time,
                 engine=spec.engine,
-                integrator=spec.integrator,
                 apply_sigma_z=spec.apply_sigma_z,
             )
         )
@@ -768,7 +751,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     try:
         written = _RUNNERS[cfg.command](cfg)
-    except (DegenerateReversal, ZeroProbability, StepSizeUnderflow, FloatingPointError) as exc:
+    except (DegenerateReversal, ZeroProbability, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

@@ -62,7 +62,7 @@ class SystemParams:
 
     @property
     def g_ref(self) -> float:
-        """Reference coupling used to scale dimensionless times and steps."""
+        """Reference coupling used to scale dimensionless times."""
         return max(self.g1, self.g2)
 
     def equal_decay_rate(self) -> float | None:

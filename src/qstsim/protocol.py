@@ -9,10 +9,9 @@ be fixed by hand, or be optimized numerically.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .analytic import AnalyticInputs, _effective_generator, analytic_rho
 from .core import (
@@ -23,7 +22,7 @@ from .core import (
     initial_state,
     target_state,
 )
-from .lindblad import IntegratorConfig, integrate
+from .lindblad import integrate
 from .measurement import (
     PAULI_X,
     apply_measurement_qubit1,
@@ -78,7 +77,6 @@ class ProtocolSpec:
     q_value: float | None = None
     transfer_time: float | None = None
     engine: str = "analytic"
-    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     apply_sigma_z: bool = True
 
     def __post_init__(self):
@@ -141,14 +139,7 @@ def _evolved_state(spec: ProtocolSpec, t: float) -> tuple[np.ndarray, float]:
         )
         rho = analytic_rho(inputs, t)
     else:
-        config = spec.integrator
-        horizon = t * spec.params.g_ref
-        if horizon > config.max_time:
-            config = replace(config, max_time=horizon)
-        if t == 0.0:
-            rho = pre.state
-        else:
-            rho = integrate(spec.params, pre.state, config, [t]).states[-1]
+        rho = integrate(spec.params, pre.state, [t]).states[-1]
     return rho, pre.success_probability
 
 
@@ -237,6 +228,8 @@ def nojump_protocol_oracle(
     where the sigma_z's global sign is absorbed, so it is proportional to
     alpha|ground> + beta|qubit 2 excited>.
     """
+    from scipy.linalg import expm
+
     t_star = full_transfer_time(g)
     if abs(t - t_star) > 1e-9:
         raise ValueError(

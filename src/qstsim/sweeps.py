@@ -8,12 +8,12 @@ g*t and rates are given relative to g.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import QubitAmplitudes, SystemParams, initial_state
-from .lindblad import IntegratorConfig, integrate
+from .lindblad import integrate
 from .measurement import apply_measurement_qubit1, apply_reversal_qubit2
 from .optimize import pick_best, golden_section_max
 from .protocol import (
@@ -72,7 +72,6 @@ class SweepSpec:
     t_max: float | None = None
     coarse_points: int = 120
     apply_sigma_z: bool = True
-    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
 
     def __post_init__(self):
         if self.kind not in ("time", "decay", "dephasing"):
@@ -225,19 +224,13 @@ def dephasing_sweep(spec: SweepSpec) -> SweepResult:
     times = spec.grid.values()
     s = spec.s_over_g
     pre = apply_measurement_qubit1(initial_state(spec.qubit), spec.p)
-    config = spec.integrator
-    if times[-1] > config.max_time:
-        config = replace(config, max_time=float(times[-1]))
-    positive = times[times > 0]
 
     series = {}
     for gamma_ratio in spec.gamma_phi_over_g:
         params = SystemParams(
             g1=1.0, g2=1.0, kappa=s, gamma1=s, gamma2=s, gamma_phi=float(gamma_ratio)
         )
-        states = [pre.state] * (len(times) - len(positive))
-        if positive.size:
-            states = states + list(integrate(params, pre.state, config, positive).states)
+        states = integrate(params, pre.state, times).states
         rows = np.empty((len(times), 2))
         for i, t in enumerate(times):
             q = q_formula(spec.p, s, float(t))

@@ -77,7 +77,7 @@ def equal_rates_benchmark():
     pre = apply_measurement_qubit1(initial_state(qubit), 0.5)
     times = np.linspace(0.0, 10.0, 50)
     started = time.perf_counter()
-    trajectory = integrate(equal_rate_params(0.5), pre.state, None, times)
+    trajectory = integrate(equal_rate_params(0.5), pre.state, times)
     analytic_states = [analytic_rho(inputs, t) for t in times]
     elapsed = time.perf_counter() - started
     worst = max(
@@ -142,7 +142,7 @@ def dephasing_curves():
     q = q_formula(0.8, 2.0, T_STAR)
     for gamma_phi in (0.0, 0.01, 0.1, 1.0):
         params = equal_rate_params(2.0, gamma_phi=gamma_phi)
-        evolved = integrate(params, pre.state, None, [T_STAR]).states[-1]
+        evolved = integrate(params, pre.state, [T_STAR]).states[-1]
         kept = apply_reversal_qubit2(evolved, q)
         at_transfer.append(fidelity_to_target(kept.state, BALANCED))
         log_states(evolved, kept.state)

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import qstsim
 
 from qstsim.cli import ValidationError, main, parse_config
 
@@ -83,7 +89,7 @@ def test_validation_exit_code(tmp_path, capsys):
 
 def test_numeric_failure_exit_code(tmp_path):
     code = run_cli(
-        ["evolve", "--tolerance", "1e-30", "--s-over-g", "1", "--grid-points", "5",
+        ["protocol", "--alpha", "0", "--beta", "1", "--p", "0.9999999999999999",
          "--output-dir", tmp_path]
     )
     assert code == 4
@@ -185,3 +191,79 @@ def test_evolve_conserves_trace(tmp_path, capsys):
     for line in lines[1:]:
         cells = [float(c) for c in line.split(",")]
         assert abs(sum(cells[i] for i in pops) - 1.0) < 1e-9
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported only on the paths that call expm
+    env = dict(os.environ, PYTHONPATH=str(Path(qstsim.__file__).resolve().parents[1]))
+    probe = "import sys, qstsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["protocol", "--s-over-g", "inf"], "s-over-g"),
+        (["protocol", "--g1", "nan", "--gt", "1"], "g1"),
+        (["protocol", "--beta", "nan+1j"], "beta"),
+        (["fig4", "--gamma-phi-over-g", "0,inf"], "gamma-phi-over-g"),
+    ],
+)
+def test_non_finite_input_rejected(tmp_path, capsys, flags, key):
+    assert run_cli(flags + ["--output-dir", tmp_path]) == 3
+    assert f"invalid value for {key!r}" in capsys.readouterr().err
+
+
+def test_retired_stepper_flags_are_usage_errors(tmp_path, capsys):
+    for flag in ("--step-size", "--tolerance"):
+        assert run_cli(["evolve", flag, "0.01", "--output-dir", tmp_path]) == 2
+
+
+def test_retired_stepper_keys_in_config_are_ignored(tmp_path):
+    cfg_file = tmp_path / "old.cfg"
+    cfg_file.write_text("command=fig4\nstep-size=0.005\ntolerance=1e-10\ngrid-points=9\n")
+    cfg = parse_config(["fig4", "--config", str(cfg_file)])
+    assert cfg.values["grid-points"] == 9
+    assert not {"step-size", "tolerance"} & set(cfg.meta_config())
+
+
+def test_normalized_amplitudes_keep_their_bits():
+    # parse -> meta.config -> parse must give the identical amplitudes
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        alpha = float(rng.uniform(-1.0, 1.0))
+        beta = complex(*rng.uniform(-1.0, 1.0, size=2)) * float(rng.uniform(0.5, 2.0))
+        first = parse_config(["optimize-q", f"--alpha={alpha!r}", f"--beta={beta!r}"])
+        meta = first.meta_config()
+        second = parse_config(
+            ["optimize-q", f"--alpha={meta['alpha']}", f"--beta={meta['beta']}"]
+        )
+        for key in ("alpha", "beta"):
+            assert repr(second.values[key]) == repr(first.values[key])
+
+
+def test_optimize_q_replay_is_byte_identical(tmp_path, capsys):
+    first = tmp_path / "first"
+    second = tmp_path / "second"
+    argv = ["optimize-q", "--alpha=0.7657", "--beta=(0.346+0.5422j)", "--p", "0.757",
+            "--s-over-g", "0.502"]
+    assert run_cli(argv + ["--output-dir", first]) == 0
+    replay = replay_config(first / "optimize_q.json", tmp_path / "replay.cfg")
+    assert run_cli(replay + ["--output-dir", second]) == 0
+    name = "optimize_q.csv"
+    assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_fig4_stiff_dephasing(tmp_path, capsys):
+    code = run_cli(
+        ["fig4", "--gamma-phi-over-g", "1e6", "--formats", "csv", "--output-dir", tmp_path]
+    )
+    assert code == 0
+    lines = (tmp_path / "fig4_fidelity.csv").read_text().splitlines()
+    assert len(lines) == 242
+    for line in lines[1:]:
+        fidelity = float(line.split(",")[1])
+        assert 0.0 <= fidelity <= 1.0

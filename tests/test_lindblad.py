@@ -5,15 +5,15 @@ import pytest
 
 from qstsim import (
     AnalyticInputs,
-    IntegratorConfig,
     QubitAmplitudes,
-    StepSizeUnderflow,
     SystemParams,
     analytic_rho,
     apply_measurement_qubit1,
     initial_state,
     integrate,
     lindblad_rhs,
+    liouvillian,
+    physicality_violations,
 )
 
 
@@ -67,7 +67,7 @@ def test_rhs_traceless_and_hermiticity_preserving():
 def test_closed_system_preserves_purity():
     params = SystemParams(1.0, 1.0)
     pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.0)
-    traj = integrate(params, pre.state, None, np.linspace(0.5, 20.0, 40))
+    traj = integrate(params, pre.state, np.linspace(0.5, 20.0, 40))
     for state in traj.states:
         purity = np.trace(state @ state).real
         assert abs(purity - 1.0) < 1e-8
@@ -78,7 +78,7 @@ def test_matches_closed_forms_for_equal_rates():
     params = SystemParams(1.0, 1.0, kappa=0.5, gamma1=0.5, gamma2=0.5)
     pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.5)
     times = np.linspace(0.0, 10.0, 50)
-    traj = integrate(params, pre.state, None, times)
+    traj = integrate(params, pre.state, times)
     worst = max(
         np.max(np.abs(analytic_rho(inputs, t) - state))
         for t, state in zip(traj.times, traj.states)
@@ -89,8 +89,7 @@ def test_matches_closed_forms_for_equal_rates():
 def test_decay_reaches_ground():
     params = SystemParams(1.0, 1.0, kappa=0.5, gamma1=0.5, gamma2=0.5)
     pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.0)
-    config = IntegratorConfig(step_size=0.1, tolerance=1e-6, max_time=1000.0)
-    traj = integrate(params, pre.state, config, [1000.0])
+    traj = integrate(params, pre.state, [1000.0])
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 1.0
     np.testing.assert_allclose(traj.states[-1], expected, atol=1e-6)
@@ -99,32 +98,11 @@ def test_decay_reaches_ground():
 def test_trace_and_positivity_along_trajectory():
     params = SystemParams(1.0, 1.0, kappa=0.7, gamma1=0.1, gamma2=0.4, gamma_phi=0.2)
     pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.3)
-    traj = integrate(params, pre.state, None, np.linspace(0.25, 12.0, 30))
+    traj = integrate(params, pre.state, np.linspace(0.25, 12.0, 30))
     for state in traj.states:
         assert abs(np.trace(state).real - 1.0) < 1e-9
         assert np.array_equal(state, state.conj().T)  # symmetrized exactly
         assert np.linalg.eigvalsh(state)[0] > -1e-8
-
-
-def test_convergence_order():
-    """Halving the step cap must shrink the error by at least 8x (the stepper
-    is fifth order, so the expected factor is ~32)."""
-    inputs = AnalyticInputs(alpha=0.6, beta=0.8, p=0.5, s=0.5, g1=1.0, g2=1.0)
-    params = SystemParams(1.0, 1.0, kappa=0.5, gamma1=0.5, gamma2=0.5)
-    pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.5)
-    times = np.linspace(0.5, 5.0, 10)
-
-    def max_error(step):
-        # tolerance loose enough that the cap, not the controller, rules
-        config = IntegratorConfig(step_size=step, tolerance=1.0, max_time=20.0)
-        traj = integrate(params, pre.state, config, times)
-        return max(
-            np.max(np.abs(analytic_rho(inputs, t) - state))
-            for t, state in zip(traj.times, traj.states)
-        )
-
-    coarse, fine = max_error(0.08), max_error(0.04)
-    assert coarse / fine >= 8.0
 
 
 def test_dephasing_suppresses_ground_qubit2_coherence():
@@ -134,36 +112,84 @@ def test_dephasing_suppresses_ground_qubit2_coherence():
     for gamma_phi in (0.0, 0.01, 0.1, 1.0):
         params = SystemParams(1.0, 1.0, kappa=0.5, gamma1=0.5, gamma2=0.5,
                               gamma_phi=gamma_phi)
-        traj = integrate(params, pre.state, None, [2.0])
+        traj = integrate(params, pre.state, [2.0])
         magnitudes.append(abs(traj.states[-1][0, 3]))
     assert np.all(np.diff(magnitudes) <= 1e-12)
-
-
-def test_step_size_underflow():
-    params = SystemParams(1.0, 1.0, kappa=0.5, gamma1=0.5, gamma2=0.5)
-    pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.0)
-    config = IntegratorConfig(step_size=0.01, tolerance=1e-30, max_time=5.0)
-    with pytest.raises(StepSizeUnderflow):
-        integrate(params, pre.state, config, [1.0])
 
 
 def test_sample_validation():
     params = SystemParams(1.0, 1.0)
     rho0 = basis_projector(0)
     with pytest.raises(ValueError):
-        integrate(params, rho0, None, [])
+        integrate(params, rho0, [])
     with pytest.raises(ValueError):
-        integrate(params, rho0, None, [1.0, 1.0])
+        integrate(params, rho0, [1.0, 1.0])
     with pytest.raises(ValueError):
-        integrate(params, rho0, None, [-1.0, 2.0])
+        integrate(params, rho0, [-1.0, 2.0])
     with pytest.raises(ValueError):
-        integrate(params, rho0, None, [5.0, 50.0])  # beyond max_time
+        integrate(params, rho0, [1.0, np.inf])
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(step_size=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(tolerance=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_time=0.0)
+def test_liouvillian_matches_rhs():
+    rng = np.random.default_rng(16)
+    for params in (
+        SystemParams(1.0, 0.8, kappa=0.4, gamma1=0.3, gamma2=0.2, gamma_phi=0.1),
+        SystemParams(1.0, 1.0),
+        SystemParams(0.7, 1.2, kappa=2.0, gamma_phi=5.0),
+    ):
+        gen = liouvillian(params)
+        for _ in range(10):
+            rho = random_hermitian(rng)
+            np.testing.assert_allclose(
+                gen @ rho.reshape(-1), lindblad_rhs(params, rho).reshape(-1), atol=1e-14
+            )
+
+
+def test_propagation_composes():
+    # P(t1 + t2) = P(t2) P(t1): one long step equals two shorter ones
+    params = SystemParams(1.0, 0.6, kappa=0.9, gamma1=0.2, gamma2=0.4, gamma_phi=0.3)
+    pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8j)), 0.4)
+    t1, t2 = 0.7, 1.9
+    direct = integrate(params, pre.state, [t1 + t2]).states[-1]
+    middle = integrate(params, pre.state, [t1]).states[-1]
+    composed = integrate(params, middle, [t2]).states[-1]
+    np.testing.assert_allclose(direct, composed, atol=1e-13)
+
+
+def test_zero_time_sample_is_the_initial_state():
+    params = SystemParams(1.0, 1.0, kappa=0.5, gamma1=0.5, gamma2=0.5)
+    pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.5)
+    traj = integrate(params, pre.state, [0.0, 1.0])
+    np.testing.assert_array_equal(traj.states[0], 0.5 * (pre.state + pre.state.conj().T))
+
+
+def test_stiff_dephasing_stays_physical():
+    params = SystemParams(1.0, 1.0, kappa=2.0, gamma1=2.0, gamma2=2.0, gamma_phi=1e6)
+    pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.8)
+    traj = integrate(params, pre.state, np.linspace(0.0, 6.0, 241))
+    for state in traj.states:
+        assert physicality_violations(state) == []
+
+
+def test_uniform_grid_reuses_propagators(monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    real_expm = scipy.linalg.expm
+
+    def counting_expm(m):
+        calls.append(m)
+        return real_expm(m)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    params = SystemParams(1.0, 1.0, kappa=2.0, gamma1=2.0, gamma2=2.0, gamma_phi=0.1)
+    times = np.linspace(0.0, 6.0, 241)
+    integrate(params, basis_projector(1), times)
+    assert 0 < len(calls) == len(set(np.diff(times).tolist())) <= 10
+
+
+def test_non_finite_state_raises():
+    rho0 = basis_projector(1)
+    rho0[0, 0] = np.nan
+    with pytest.raises(FloatingPointError):
+        integrate(SystemParams(1.0, 1.0, kappa=0.5), rho0, [1.0])
