@@ -517,23 +517,10 @@ def _build_runtime(effective: str, values):
         values["gt"] = spec.transfer_time * spec.params.g_ref
     elif effective == "fig2":
         _time_sweep_spec(values)
-        for p in values["p"]:
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"measurement strength p={p!r} must lie in [0, 1)")
     elif effective == "fig3":
         _decay_sweep_spec(values)
-        for p in values["p"]:
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"measurement strength p={p!r} must lie in [0, 1)")
-        if values["t-max"] <= 0:
-            raise ValueError("t-max must be positive")
     elif effective == "fig4":
         _dephasing_sweep_spec(values)
-        if not 0.0 <= values["p"] < 1.0:
-            raise ValueError("measurement strength p must lie in [0, 1)")
-        for rate in values["gamma-phi-over-g"]:
-            if rate < 0:
-                raise ValueError("dephasing rates must be non-negative")
     if "formats" in values and not values["formats"]:
         raise ValueError("formats must name at least one of csv, json, svg")
     if effective in ("protocol", "optimize-q") and "svg" in values["formats"]:

@@ -27,7 +27,6 @@ from .measurement import (
     PAULI_X,
     apply_measurement_qubit1,
     apply_reversal_qubit2,
-    m0_operator,
 )
 from .optimize import grid_then_golden_max, pick_best
 

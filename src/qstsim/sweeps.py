@@ -1,10 +1,11 @@
 """Parameter-sweep drivers: fidelity and success probability against time,
 against the decay-to-coupling ratio, and against the dephasing rate.
 
-Each driver walks its grid sequentially and deterministically, so a given
-spec always produces the identical result.  The couplings are equal and act
-as the reference unit (g = 1), so the time axis is the dimensionless product
-g*t and rates are given relative to g.
+The closed-form sweeps evaluate a whole grid as arrays (closed_form_outcome)
+rather than one protocol run per point.  Every sweep is deterministic, so a
+given spec always produces the identical result.  The couplings are equal
+and act as the reference unit (g = 1), so the time axis is the
+dimensionless product g*t and rates are given relative to g.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 from .core import QubitAmplitudes, SystemParams, initial_state
 from .lindblad import integrate
 from .measurement import apply_measurement_qubit1, apply_reversal_qubit2
-from .optimize import pick_best, golden_section_max
+from .optimize import grid_then_golden_max_rows
 from .protocol import (
     ProtocolSpec,
     fidelity_to_target,
@@ -76,8 +77,17 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in ("time", "decay", "dephasing"):
             raise ValueError(f"unknown sweep kind {self.kind!r}")
-        if self.s_over_g < 0:
+        if not self.s_over_g >= 0:
             raise ValueError("s_over_g must be non-negative")
+        if not self.grid.start >= 0:  # a time or a decay ratio
+            raise ValueError("grid-start must be non-negative")
+        for p in (*self.p_values, self.p):
+            if not 0.0 <= p < 1.0:
+                raise ValueError(f"measurement strength p={p!r} must lie in [0, 1)")
+        if not all(rate >= 0 for rate in self.gamma_phi_over_g):
+            raise ValueError("dephasing rates must be non-negative")
+        if self.t_max is not None and not self.t_max > 0:
+            raise ValueError("t-max must be positive")
         if self.coarse_points < 100:
             raise ValueError("coarse_points must be at least 100")
 
@@ -102,58 +112,103 @@ class SweepResult:
         return {f"{metric}[{label}]": data[:, col] for label, data in self.series.items()}
 
 
-def _series_labels(spec: SweepSpec) -> list[tuple[str, float | None]]:
-    """(label, p) pairs; p None marks the unmeasured baseline."""
-    labels: list[tuple[str, float | None]] = []
-    if spec.include_baseline:
-        labels.append((BASELINE_LABEL, None))
-    labels.extend((f"p={p:g}", p) for p in spec.p_values)
+def _series_labels(spec: SweepSpec) -> list[tuple[str, float, bool]]:
+    """(label, p, formula) triples; the unmeasured baseline has p = 0 and
+    reverses with q = 0, every other series uses the closed-form q rule."""
+    labels = [(BASELINE_LABEL, 0.0, False)] if spec.include_baseline else []
+    labels.extend((f"p={p:g}", p, True) for p in spec.p_values)
     return labels
 
 
-def _protocol_for(spec: SweepSpec, params: SystemParams, p: float | None) -> ProtocolSpec:
-    """Measured series use the closed-form q rule; the baseline fixes q = 0."""
-    if p is None:
-        return ProtocolSpec(
-            qubit=spec.qubit,
-            params=params,
-            p=0.0,
-            q_rule="fixed",
-            q_value=0.0,
-            transfer_time=0.0,
-            apply_sigma_z=spec.apply_sigma_z,
-        )
-    return ProtocolSpec(
-        qubit=spec.qubit,
-        params=params,
-        p=p,
-        q_rule="formula",
-        transfer_time=0.0,
-        apply_sigma_z=spec.apply_sigma_z,
-    )
+def closed_form_outcome(
+    qubit: QubitAmplitudes,
+    p,
+    s,
+    t,
+    formula,
+    apply_sigma_z: bool = True,
+    g1: float = 1.0,
+    g2: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fidelity and reversal success of the closed-form protocol, elementwise.
+
+    p, s, t and formula broadcast together: the pre-measurement strength,
+    the common decay rate, the reversal time and whether the reversal uses
+    the closed-form q = 1 - (1-p) e^{-st} (True) or q = 0 (False, the
+    unmeasured baseline when p = 0).  Agrees with run_protocol on the
+    analytic engine point by point, but touches only what the target state
+    sees: the populations of basis states 0 and 3, their coherence and the
+    trace, each an array of the broadcast shape.
+
+    Under the closed-form rule every entry of the kept branch carries a
+    factor e^{-st}; it is divided out before normalizing, so the state stays
+    finite as e^{-st} underflows and only the success probability goes to
+    0.  A value that is still not finite raises FloatingPointError.
+    """
+    alpha2 = qubit.alpha**2
+    beta2 = abs(qubit.beta) ** 2
+    keep = 1.0 - np.asarray(p, dtype=float)
+    # pre-measurement: populations a (ground), b (excited) and the real part
+    # of beta times the coherence c, all relative to N1^2
+    n1_sq = alpha2 + beta2 * keep
+    a = alpha2 / n1_sq
+    b = beta2 * keep / n1_sq
+    coherence = qubit.alpha * beta2 * np.sqrt(keep) / n1_sq
+    # exchange amplitudes c2, c3, c4 (see analytic.transfer_amplitudes)
+    r2 = g1 * g1 + g2 * g2
+    rt = math.sqrt(r2) * np.asarray(t, dtype=float)
+    cos_rt = np.cos(rt)
+    c2 = (g1 * g1 * cos_rt + g2 * g2) / r2
+    c3_sq = g1 * g1 * np.sin(rt) ** 2 / r2
+    c4 = g1 * g2 * (cos_rt - 1.0) / r2
+    st = np.asarray(s, dtype=float) * t
+    decay = np.exp(-st)
+    ground = 1.0 + (a - 1.0) * decay  # rho00
+    # kept branch over its common factor: e^{-st} for the closed-form rule,
+    # 1 for q = 0; weights of the ground sector, basis state 3 and their
+    # coherence after the reversal
+    w_ground = np.where(formula, keep, 1.0)
+    w_excited = np.where(formula, 1.0, decay)
+    w_coherence = np.where(formula, np.sqrt(keep), np.exp(-0.5 * st))
+    k00 = w_ground * ground
+    k33 = w_excited * b * c4 * c4
+    k03 = w_coherence * coherence * c4
+    if apply_sigma_z:
+        k03 = -k03
+    trace = w_ground * (ground + b * (c2 * c2 + c3_sq) * decay) + k33
+    fidelity = (alpha2 * k00 + 2.0 * qubit.alpha * k03 + beta2 * k33) / trace
+    success = np.where(formula, decay, 1.0) * trace
+    if not (np.all(np.isfinite(fidelity)) and np.all(np.isfinite(success))):
+        raise FloatingPointError("closed-form protocol value is not finite")
+    return fidelity, success
 
 
 def time_sweep(spec: SweepSpec) -> SweepResult:
     """Fidelity and success probability against g*t at fixed decay rate.
 
     Every point runs the closed-form engine with the reversal strength
-    re-evaluated at that time.  The success column carries the reversal
-    branch probability (identically 1 for the baseline).
+    re-evaluated at that time, one array evaluation per series.  The success
+    column carries the reversal branch probability (identically 1 for the
+    baseline).
     """
     if spec.kind != "time":
         raise ValueError("spec.kind must be 'time'")
     times = spec.grid.values()
-    s = spec.s_over_g
-    params = SystemParams(g1=1.0, g2=1.0, kappa=s, gamma1=s, gamma2=s)
     series = {}
-    for label, p in _series_labels(spec):
-        proto = _protocol_for(spec, params, p)
-        rows = np.empty((len(times), 2))
-        for i, t in enumerate(times):
-            outcome = run_protocol(replace(proto, transfer_time=float(t)))
-            rows[i] = outcome.fidelity, outcome.reversal_success
-        series[label] = rows
+    for label, p, formula in _series_labels(spec):
+        fidelity, success = closed_form_outcome(
+            spec.qubit, p, spec.s_over_g, times, formula, spec.apply_sigma_z
+        )
+        series[label] = np.column_stack([fidelity, success])
     return SweepResult("gt", times, series)
+
+
+def _best_over_time(f, t_max: float, coarse_points: int, refine_tol: float):
+    """Rows of (t*, best value) of f over the reversal time in (0, t_max]:
+    a uniform coarse scan, then golden refinement; a best first sample is
+    bracketed from a millionth of it, not from t = 0."""
+    times = np.linspace(0.0, t_max, coarse_points + 1)[1:]
+    return grid_then_golden_max_rows(f, times, refine_tol, first_lo=float(times[0]) * 1e-6)
 
 
 def max_fidelity_over_time(
@@ -166,7 +221,8 @@ def max_fidelity_over_time(
 
     Coarse scan on a uniform grid, then golden-section refinement bracketed
     by the best point's neighbours; the result never falls below the best
-    coarse sample.
+    coarse sample.  Analytic specs with the closed-form or a zero reversal
+    are evaluated as arrays; any other spec runs run_protocol per time.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -175,17 +231,23 @@ def max_fidelity_over_time(
     if refine_tol is None:
         refine_tol = 1e-6 / spec.params.g_ref
 
-    def fid(t: float) -> float:
-        return run_protocol(replace(spec, transfer_time=float(t))).fidelity
+    formula = spec.q_rule == "formula"
+    zero_q = spec.q_rule == "fixed" and spec.q_value == 0.0
+    if spec.engine == "analytic" and (formula or zero_q):
+        params = spec.params
+        s = params.equal_decay_rate()
 
-    times = np.linspace(0.0, t_max, coarse_points + 1)[1:]
-    values = np.array([fid(t) for t in times])
-    best = float(values.max())
-    idx = int(np.nonzero(values >= best - 1e-12)[0][0])
-    lo = float(times[idx - 1]) if idx > 0 else float(times[0]) * 1e-6
-    hi = float(times[min(idx + 1, len(times) - 1)])
-    refined = golden_section_max(fid, lo, hi, refine_tol)
-    return pick_best([(float(times[idx]), best), refined])
+        def fidelity(t):
+            return closed_form_outcome(
+                spec.qubit, spec.p, s, t, formula, spec.apply_sigma_z, params.g1, params.g2
+            )[0]
+    else:
+        fidelity = np.vectorize(
+            lambda t: run_protocol(replace(spec, transfer_time=float(t))).fidelity,
+            otypes=[float],
+        )
+    t_star, f_max = _best_over_time(fidelity, t_max, coarse_points, refine_tol)
+    return float(t_star[0]), float(f_max[0])
 
 
 def decay_sweep(spec: SweepSpec) -> SweepResult:
@@ -194,21 +256,28 @@ def decay_sweep(spec: SweepSpec) -> SweepResult:
     For each grid value of s/g and each series, the reversal time is scanned
     up to t_max (default: twice the full-transfer period) and the maximum
     fidelity recorded together with the success probability at the
-    maximizing time.
+    maximizing time.  All (s/g, series) pairs are rows of one batch: one
+    array evaluation for the coarse scan and one per golden step.
     """
     if spec.kind != "decay":
         raise ValueError("spec.kind must be 'decay'")
     ratios = spec.grid.values()
     t_max = spec.t_max if spec.t_max is not None else 4.0 * full_transfer_time(1.0)
-    series = {label: np.empty((len(ratios), 2)) for label, _ in _series_labels(spec)}
-    for i, ratio in enumerate(ratios):
-        s = float(ratio)
-        params = SystemParams(g1=1.0, g2=1.0, kappa=s, gamma1=s, gamma2=s)
-        for label, p in _series_labels(spec):
-            proto = _protocol_for(spec, params, p)
-            t_star, f_max = max_fidelity_over_time(proto, t_max, spec.coarse_points)
-            outcome = run_protocol(replace(proto, transfer_time=t_star))
-            series[label][i] = f_max, outcome.reversal_success
+    labels = _series_labels(spec)
+    # rows ordered (s/g, series), one column so each row broadcasts over times
+    s = np.repeat(ratios, len(labels))[:, None]
+    p = np.tile([p for _, p, _ in labels], len(ratios))[:, None]
+    formula = np.tile([rule for _, _, rule in labels], len(ratios))[:, None]
+
+    def fidelity(t):
+        return closed_form_outcome(spec.qubit, p, s, t, formula, spec.apply_sigma_z)[0]
+
+    t_star, f_max = _best_over_time(fidelity, t_max, spec.coarse_points, 1e-6)
+    _, success = closed_form_outcome(
+        spec.qubit, p[:, 0], s[:, 0], t_star, formula[:, 0], spec.apply_sigma_z
+    )
+    rows = np.column_stack([f_max, success]).reshape(len(ratios), len(labels), 2)
+    series = {label: rows[:, j] for j, (label, _, _) in enumerate(labels)}
     return SweepResult("s_over_g", ratios, series)
 
 

@@ -267,3 +267,21 @@ def test_fig4_stiff_dephasing(tmp_path, capsys):
     for line in lines[1:]:
         fidelity = float(line.split(",")[1])
         assert 0.0 <= fidelity <= 1.0
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig4"])
+def test_negative_grid_start_is_a_config_error(tmp_path, capsys, command):
+    assert run_cli([command, "--grid-start", "-1", "--output-dir", tmp_path]) == 3
+    assert "grid-start" in capsys.readouterr().err
+
+
+def test_fig3_runs_into_complete_decoherence(tmp_path, capsys):
+    # s/g up to 200 puts s*t far past the point where e^{-st} underflows
+    code = run_cli(
+        ["fig3", "--grid-stop", "200", "--formats", "csv", "--output-dir", tmp_path]
+    )
+    assert code == 0
+    for metric in ("fidelity", "success"):
+        table = np.loadtxt(tmp_path / f"fig3_{metric}.csv", delimiter=",", skiprows=1)
+        values = table[:, 1:]
+        assert np.all(np.isfinite(values)) and np.all((values >= 0) & (values <= 1))

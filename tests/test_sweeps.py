@@ -1,7 +1,10 @@
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qstsim import (
     AxisGrid,
@@ -9,6 +12,7 @@ from qstsim import (
     QubitAmplitudes,
     SweepSpec,
     SystemParams,
+    closed_form_outcome,
     decay_sweep,
     dephasing_sweep,
     fig_decay_spec,
@@ -16,6 +20,7 @@ from qstsim import (
     fig_time_spec,
     full_transfer_time,
     max_fidelity_over_time,
+    run_protocol,
     time_sweep,
 )
 
@@ -93,14 +98,25 @@ def test_max_fidelity_refinement_dominates_grid():
     )
     t_max = 4 * full_transfer_time(1.0)
     times = np.linspace(0.0, t_max, 121)[1:]
-    from dataclasses import replace
-    from qstsim import run_protocol
-
     grid_best = max(
         run_protocol(replace(spec, transfer_time=float(t))).fidelity for t in times
     )
     _, f_max = max_fidelity_over_time(spec, t_max, coarse_points=120)
     assert f_max >= grid_best
+
+
+def test_max_fidelity_over_time_runs_any_engine():
+    # the numeric engine has no array path and is maximized point by point
+    spec = ProtocolSpec(
+        qubit=QubitAmplitudes(0.6, 0.8),
+        params=SystemParams(1.0, 1.0, 0.8, 0.8, 0.8),
+        p=0.4,
+        transfer_time=1.0,
+    )
+    t_max = 4 * full_transfer_time(1.0)
+    _, f_analytic = max_fidelity_over_time(spec, t_max, coarse_points=100)
+    _, f_numeric = max_fidelity_over_time(replace(spec, engine="numeric"), t_max, coarse_points=100)
+    assert abs(f_numeric - f_analytic) < 1e-7
 
 
 def test_measured_beats_plain_under_decay():
@@ -234,3 +250,107 @@ def test_kind_mismatch_rejected():
         decay_sweep(small_time_spec())
     with pytest.raises(ValueError):
         dephasing_sweep(small_time_spec())
+
+
+_amplitudes = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
+    lambda ap: QubitAmplitudes(ap[0], math.sqrt(1.0 - ap[0] ** 2) * cmath.exp(1j * ap[1]))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    qubit=_amplitudes,
+    p=st.floats(0.0, 0.99),
+    s=st.floats(0.0, 50.0),
+    t=st.floats(0.0, 10.0),
+    formula=st.booleans(),
+    sigma_z=st.booleans(),
+    g1=st.floats(0.2, 2.0),
+    g2=st.floats(0.2, 2.0),
+)
+def test_closed_form_outcome_matches_run_protocol(qubit, p, s, t, formula, sigma_z, g1, g2):
+    spec = ProtocolSpec(
+        qubit=qubit,
+        params=SystemParams(g1, g2, s, s, s),
+        p=p,
+        q_rule="formula" if formula else "fixed",
+        q_value=None if formula else 0.0,
+        transfer_time=t,
+        apply_sigma_z=sigma_z,
+    )
+    outcome = run_protocol(spec)
+    fidelity, success = closed_form_outcome(qubit, p, s, t, formula, sigma_z, g1, g2)
+    assert abs(fidelity - outcome.fidelity) <= 1e-12
+    assert abs(success - outcome.reversal_success) <= 1e-12
+
+
+def test_time_sweep_matches_run_protocol_per_point():
+    spec = small_time_spec(points=17, p_values=(0.0, 0.7))
+    result = time_sweep(spec)
+    params = SystemParams(1.0, 1.0, 2.0, 2.0, 2.0)
+    for label, p, rule, q_value in (("baseline", 0.0, "fixed", 0.0), ("p=0.7", 0.7, "formula", None)):
+        for i, t in enumerate(result.axis_values):
+            outcome = run_protocol(ProtocolSpec(
+                qubit=BALANCED, params=params, p=p, q_rule=rule, q_value=q_value,
+                transfer_time=float(t),
+            ))
+            assert abs(result.fidelity(label)[i] - outcome.fidelity) <= 1e-12
+            assert abs(result.success(label)[i] - outcome.reversal_success) <= 1e-12
+
+
+def test_decay_sweep_rows_equal_one_row_searches():
+    # one batch of (s/g, series) rows gives what each row gives on its own
+    spec = small_decay_spec(ratios=(0.3, 3.0, 30.0))
+    result = decay_sweep(spec)
+    t_max = 4 * full_transfer_time(1.0)
+    for i, ratio in enumerate(result.axis_values):
+        params = SystemParams(1.0, 1.0, ratio, ratio, ratio)
+        for label, p, rule, q_value in (("baseline", 0.0, "fixed", 0.0), ("p=0.4", 0.4, "formula", None)):
+            proto = ProtocolSpec(
+                qubit=spec.qubit, params=params, p=p, q_rule=rule, q_value=q_value,
+                transfer_time=1.0,
+            )
+            t_star, f_max = max_fidelity_over_time(proto, t_max, spec.coarse_points)
+            assert result.fidelity(label)[i] == f_max
+            outcome = run_protocol(replace(proto, transfer_time=t_star))
+            assert abs(result.success(label)[i] - outcome.reversal_success) <= 1e-12
+
+
+def test_plateau_holds_past_exp_underflow():
+    """Under the closed-form rule the best fidelity levels off once decay is
+    complete, and stays there where e^{-st} underflows (s t > 745)."""
+
+    def measured(lo, hi):
+        spec = SweepSpec(
+            kind="decay", grid=AxisGrid(lo, hi, 2), qubit=QubitAmplitudes(0.6, 0.8),
+            p_values=(0.0, 0.8), coarse_points=100,
+        )
+        result = decay_sweep(spec)
+        for label in result.series:
+            assert np.all(np.isfinite(result.series[label]))
+        return result, np.array([result.fidelity(label) for label in ("p=0", "p=0.8")])
+
+    low, at_30_100 = measured(30.0, 100.0)
+    high, at_100_1000 = measured(100.0, 1000.0)
+    np.testing.assert_allclose(at_30_100[:, 1], at_30_100[:, 0], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(at_100_1000[:, 1], at_30_100[:, 0], rtol=0, atol=1e-9)
+    # only the success probability pays for the decay
+    assert 0.0 <= high.success("p=0.8")[1] < 1e-300
+
+
+def test_non_finite_closed_form_value_raises():
+    with pytest.raises(FloatingPointError):
+        closed_form_outcome(BALANCED, 0.5, math.nan, np.linspace(0.0, 1.0, 5), True)
+
+
+def test_negative_axis_start_rejected():
+    # a time axis and the decay-ratio axis both start at 0 or later
+    for kind in ("time", "decay", "dephasing"):
+        with pytest.raises(ValueError, match="grid-start"):
+            SweepSpec(kind=kind, grid=AxisGrid(-1.0, 6.0, 5), qubit=BALANCED)
+
+
+def test_every_p_value_checked():
+    for p_values in ((0.2, 1.0), (-0.1,), (math.nan,)):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            SweepSpec(kind="time", grid=AxisGrid(0.0, 6.0, 5), qubit=BALANCED, p_values=p_values)
