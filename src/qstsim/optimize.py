@@ -97,8 +97,11 @@ def grid_then_golden_max_rows(
 def _one_row(f):
     """Lift a scalar function onto the array convention, one call per entry.
 
-    functools.wraps carries the name and attributes of f over, so the
-    adapter still reads as f to anything that inspects it."""
+    functools.wraps is load-bearing: it carries the attributes of f over,
+    among them the _bench_counted flag that bench/tracer.py sets on an
+    objective it already counts, so the outer maximizer's span counts
+    optimize.fevals once and the inner golden_section_max_rows span does not
+    count them again."""
 
     @functools.wraps(f)
     def rows(x):

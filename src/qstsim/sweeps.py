@@ -221,8 +221,8 @@ def max_fidelity_over_time(
 
     Coarse scan on a uniform grid, then golden-section refinement bracketed
     by the best point's neighbours; the result never falls below the best
-    coarse sample.  Analytic specs with the closed-form or a zero reversal
-    are evaluated as arrays; any other spec runs run_protocol per time.
+    coarse sample.  Each time runs run_protocol, so any spec and engine can
+    be maximized.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -231,21 +231,10 @@ def max_fidelity_over_time(
     if refine_tol is None:
         refine_tol = 1e-6 / spec.params.g_ref
 
-    formula = spec.q_rule == "formula"
-    zero_q = spec.q_rule == "fixed" and spec.q_value == 0.0
-    if spec.engine == "analytic" and (formula or zero_q):
-        params = spec.params
-        s = params.equal_decay_rate()
-
-        def fidelity(t):
-            return closed_form_outcome(
-                spec.qubit, spec.p, s, t, formula, spec.apply_sigma_z, params.g1, params.g2
-            )[0]
-    else:
-        fidelity = np.vectorize(
-            lambda t: run_protocol(replace(spec, transfer_time=float(t))).fidelity,
-            otypes=[float],
-        )
+    fidelity = np.vectorize(
+        lambda t: run_protocol(replace(spec, transfer_time=float(t))).fidelity,
+        otypes=[float],
+    )
     t_star, f_max = _best_over_time(fidelity, t_max, coarse_points, refine_tol)
     return float(t_star[0]), float(f_max[0])
 

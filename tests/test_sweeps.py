@@ -12,7 +12,6 @@ from qstsim import (
     QubitAmplitudes,
     SweepSpec,
     SystemParams,
-    closed_form_outcome,
     decay_sweep,
     dephasing_sweep,
     fig_decay_spec,
@@ -23,6 +22,7 @@ from qstsim import (
     run_protocol,
     time_sweep,
 )
+from qstsim.sweeps import closed_form_outcome
 
 BALANCED = QubitAmplitudes(1 / math.sqrt(2), 1 / math.sqrt(2))
 
@@ -257,7 +257,7 @@ _amplitudes = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     qubit=_amplitudes,
     p=st.floats(0.0, 0.99),
@@ -311,7 +311,7 @@ def test_decay_sweep_rows_equal_one_row_searches():
                 transfer_time=1.0,
             )
             t_star, f_max = max_fidelity_over_time(proto, t_max, spec.coarse_points)
-            assert result.fidelity(label)[i] == f_max
+            assert abs(result.fidelity(label)[i] - f_max) <= 1e-12
             outcome = run_protocol(replace(proto, transfer_time=t_star))
             assert abs(result.success(label)[i] - outcome.reversal_success) <= 1e-12
 
