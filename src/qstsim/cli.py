@@ -17,7 +17,7 @@ import argparse
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,13 +92,17 @@ def _parse_float_list(text: str) -> tuple:
     return tuple(_parse_float(part) for part in text.split(","))
 
 
-def _parse_formats(text: str) -> tuple:
-    requested = [part.strip() for part in text.split(",") if part.strip()]
-    allowed = ("csv", "json", "svg")
-    for fmt in requested:
-        if fmt not in allowed:
-            raise ValueError(f"unknown format {fmt!r} (choose from {allowed})")
-    return tuple(fmt for fmt in allowed if fmt in requested)
+def _parse_formats(*allowed: str):
+    def parse(text: str) -> tuple:
+        requested = [part.strip() for part in text.split(",") if part.strip()]
+        if not requested:
+            raise ValueError(f"name at least one of {allowed}")
+        for fmt in requested:
+            if fmt not in allowed:
+                raise ValueError(f"unknown format {fmt!r} (choose from {allowed})")
+        return tuple(fmt for fmt in allowed if fmt in requested)
+
+    return parse
 
 
 def _parse_choice(*choices: str):
@@ -141,11 +145,11 @@ _T_MAX_DEFAULT = 4.0 * full_transfer_time(1.0)
 
 _OUTPUT_OPTS = (
     Option("output-dir", str, ".", "directory for result files"),
-    Option("formats", _parse_formats, ("csv", "json", "svg"), "subset of csv,json,svg"),
+    Option("formats", _parse_formats("csv", "json", "svg"), ("csv", "json", "svg"), "subset of csv,json,svg"),
 )
 _SCALAR_OUTPUT_OPTS = (
     Option("output-dir", str, ".", "directory for result files"),
-    Option("formats", _parse_formats, ("csv", "json"), "subset of csv,json"),
+    Option("formats", _parse_formats("csv", "json"), ("csv", "json"), "subset of csv,json"),
 )
 _QUBIT_OPTS = (
     Option("alpha", _parse_float, _INV_SQRT2, "real amplitude of |0>"),
@@ -161,9 +165,11 @@ _RATE_OPTS = (
     Option("g1", _parse_float, 1.0, "qubit-1 coupling"),
     Option("g2", _parse_float, 1.0, "qubit-2 coupling"),
 )
-# keys of the retired Runge-Kutta stepper: config files written before the
-# exact propagator may still hold them, so they are read and ignored
+# keys of the retired Runge-Kutta stepper, and of the q search grid that the
+# exact optimum retired from optimize-q: config files written before may
+# still hold them, so they are read and ignored
 _RETIRED_KEYS = ("step-size", "tolerance")
+_RETIRED_OPTIMIZE_Q_KEYS = ("grid-points", "refine-tol")
 
 _SCHEMAS: "dict[str, tuple[Option, ...]]" = {
     "evolve": (
@@ -192,8 +198,6 @@ _SCHEMAS: "dict[str, tuple[Option, ...]]" = {
         Option("gt", _parse_float, None, "reversal time (g*t); default: full transfer"),
         Option("engine", _parse_choice("analytic", "numeric"), "analytic", "evolution engine"),
         Option("sigma-z", _parse_bool, True, "apply the sigma_z correction"),
-        Option("grid-points", _parse_int, 1000, "q grid size before refinement"),
-        Option("refine-tol", _parse_float, 1e-8, "golden-section bracket width"),
         *_RATE_OPTS,
         *_SCALAR_OUTPUT_OPTS,
     ),
@@ -331,7 +335,8 @@ def parse_config(argv: "list[str]") -> RunConfig:
     raw: "dict[str, str]" = {}
     if namespace.config:
         raw.update(_read_config_file(namespace.config))
-        for key in _RETIRED_KEYS:
+        optimize_q_keys = _RETIRED_OPTIMIZE_Q_KEYS if command == "optimize-q" else ()
+        for key in _RETIRED_KEYS + optimize_q_keys:
             raw.pop(key, None)
     file_command = raw.pop("command", None)
     if file_command is not None and file_command != command:
@@ -492,15 +497,11 @@ def _build_runtime(effective: str, values):
     """Construct the runtime objects purely for validation side effects."""
     if effective == "evolve":
         _system_params(values)
-        _qubit(values)
-        if not 0.0 <= values["p"] < 1.0:
-            raise ValueError("measurement strength p must lie in [0, 1)")
-        if values["grid-start"] < 0:
-            raise ValueError("grid-start must be non-negative")
-        if not values["grid-start"] < values["grid-stop"]:
-            raise ValueError("grid-start must be below grid-stop")
-        if values["grid-points"] < 2:
-            raise ValueError("grid-points must be at least 2")
+        AxisGrid(values["grid-start"], values["grid-stop"], values["grid-points"])
+        try:
+            apply_measurement_qubit1(initial_state(_qubit(values)), values["p"])
+        except ZeroProbability:
+            pass  # a numeric failure (exit 4), reported when the run starts
     elif effective == "protocol":
         spec = _protocol_spec(values)
         if spec.q_rule == "formula" and spec.params.equal_decay_rate() is None:
@@ -510,10 +511,6 @@ def _build_runtime(effective: str, values):
         values["gt"] = spec.transfer_time * spec.params.g_ref
     elif effective == "optimize-q":
         spec = _protocol_spec(values, q_rule="fixed", q_value=0.0)
-        if values["grid-points"] < 2:
-            raise ValueError("grid-points must be at least 2")
-        if values["refine-tol"] <= 0:
-            raise ValueError("refine-tol must be positive")
         values["gt"] = spec.transfer_time * spec.params.g_ref
     elif effective == "fig2":
         _time_sweep_spec(values)
@@ -521,10 +518,6 @@ def _build_runtime(effective: str, values):
         _decay_sweep_spec(values)
     elif effective == "fig4":
         _dephasing_sweep_spec(values)
-    if "formats" in values and not values["formats"]:
-        raise ValueError("formats must name at least one of csv, json, svg")
-    if effective in ("protocol", "optimize-q") and "svg" in values["formats"]:
-        raise ValueError(f"{effective} produces scalar output; svg is not available")
 
 
 # ---------------------------------------------------------------------------
@@ -664,24 +657,14 @@ def _run_protocol(cfg: RunConfig) -> "list[Path]":
 def _run_optimize_q(cfg: RunConfig) -> "list[Path]":
     values = cfg.values
     spec = _protocol_spec(values, q_rule="fixed", q_value=0.0)
-    q_opt, f_opt = optimize_q(spec, values["grid-points"], values["refine-tol"])
+    q_opt, f_opt = optimize_q(spec)
     record = {
         "q_opt": q_opt,
         "fidelity_opt": f_opt,
         "gt": spec.transfer_time * spec.params.g_ref,
     }
     if spec.params.equal_decay_rate() is not None:
-        formula_run = run_protocol(
-            ProtocolSpec(
-                qubit=spec.qubit,
-                params=spec.params,
-                p=spec.p,
-                q_rule="formula",
-                transfer_time=spec.transfer_time,
-                engine=spec.engine,
-                apply_sigma_z=spec.apply_sigma_z,
-            )
-        )
+        formula_run = run_protocol(replace(spec, q_rule="formula"))
         record["q_formula"] = formula_run.q_used
         record["fidelity_formula"] = formula_run.fidelity
     return _emit_record(cfg, record, {}, "optimize_q")

@@ -9,7 +9,6 @@ the one-row case is the plain scalar maximizer and a row's result does not
 depend on which other rows share the batch.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -94,45 +93,8 @@ def grid_then_golden_max_rows(
     return np.where(use_refined, x_ref, x_grid), np.where(use_refined, f_ref, best)
 
 
-def _one_row(f):
-    """Lift a scalar function onto the array convention, one call per entry.
-
-    functools.wraps is load-bearing: it carries the attributes of f over,
-    among them the _bench_counted flag that bench/tracer.py sets on an
-    objective it already counts, so the outer maximizer's span counts
-    optimize.fevals once and the inner golden_section_max_rows span does not
-    count them again."""
-
-    @functools.wraps(f)
-    def rows(x):
-        return np.array([f(float(v)) for v in np.ravel(x)]).reshape(np.shape(x))
-
-    return rows
-
-
-def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Maximum of a unimodal function on [lo, hi] by golden-section search.
-
-    The bracket shrinks by the golden ratio each iteration until its width
-    drops below tol; returns the better interior point and its value.
-    """
-    x, fx = golden_section_max_rows(_one_row(f), [lo], [hi], tol)
-    return float(x[0]), float(fx[0])
-
-
 def pick_best(candidates: "list[tuple[float, float]]") -> tuple[float, float]:
     """Highest value wins; ties within 1e-12 go to the smallest abscissa."""
     top = max(v for _, v in candidates)
     tied = [(x, v) for x, v in candidates if v >= top - _TIE]
     return min(tied, key=lambda c: c[0])
-
-
-def grid_then_golden_max(f, points: np.ndarray, tol: float) -> tuple[float, float]:
-    """Scan f on a grid, then golden-section refine around the best point.
-
-    Refinement is bracketed by the best point's grid neighbours and never
-    returns a value below the best grid sample.  Grid ties within 1e-12 are
-    broken toward the smallest abscissa.
-    """
-    x, fx = grid_then_golden_max_rows(_one_row(f), points, tol)
-    return float(x[0]), float(fx[0])

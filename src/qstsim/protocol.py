@@ -5,7 +5,7 @@ with strength p (keep the not-excited branch), let the excitation swap
 through the resonator for a time t under decay, then reverse with strength q
 on qubit 2 plus a sigma_z, and compare against the target state on qubit 2.
 The reversal strength can follow the closed-form rule q = 1 - (1-p) e^{-st},
-be fixed by hand, or be optimized numerically.
+be fixed by hand, or be the exact fidelity-maximizing q.
 """
 
 import math
@@ -28,7 +28,7 @@ from .measurement import (
     apply_measurement_qubit1,
     apply_reversal_qubit2,
 )
-from .optimize import grid_then_golden_max, pick_best
+from .optimize import pick_best
 
 
 def full_transfer_time(g: float) -> float:
@@ -56,13 +56,57 @@ def fidelity_to_target(rho: np.ndarray, qubit: QubitAmplitudes) -> float:
     return float(np.real(np.vdot(phi, rho @ phi)))
 
 
+def _overlap_coefficients(qubit: QubitAmplitudes, rho00, rho03, rho33, apply_sigma_z):
+    """(A, B, D) with <target| kept |target> = A c + B sqrt(c) + D after the
+    reversal with complement c = 1 - q, from the entries the target sees."""
+    sign = -1.0 if apply_sigma_z else 1.0
+    return (
+        qubit.alpha**2 * rho00,
+        2.0 * sign * qubit.alpha * np.real(qubit.beta * rho03),
+        abs(qubit.beta) ** 2 * rho33,
+    )
+
+
+def _target_entries(rho: np.ndarray):
+    """rho00, rho03, rho33 and the trace of a state or of a stack of them."""
+    return (
+        rho[..., 0, 0].real,
+        rho[..., 0, 3],
+        rho[..., 3, 3].real,
+        np.trace(rho, axis1=-2, axis2=-1).real,
+    )
+
+
+def reversal_outcome(
+    qubit: QubitAmplitudes, rho00, rho03, rho33, trace, q_complement, apply_sigma_z=True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fidelity and success probability of the reversal, elementwise.
+
+    apply_reversal_qubit2 and fidelity_to_target reduced to what the target
+    sees of the state before the reversal.  With c = q_complement = 1 - q
+    the kept branch has probability S = c (trace - rho33) + rho33, and the
+    fidelity is (alpha^2 c rho00 -+ 2 alpha sqrt(c) Re(beta rho03) +
+    |beta|^2 rho33) / S, minus under the sigma_z.  The arguments after the
+    qubit broadcast; the state need not be normalized.  A value that is not
+    finite, 0/0 included, raises FloatingPointError.
+    """
+    c = np.asarray(q_complement, dtype=float)
+    a, b, d = _overlap_coefficients(qubit, rho00, rho03, rho33, apply_sigma_z)
+    success = c * (trace - rho33) + rho33
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is caught below
+        fidelity = (a * c + b * np.sqrt(c) + d) / success
+    if not (np.all(np.isfinite(fidelity)) and np.all(np.isfinite(success))):
+        raise FloatingPointError("reversal outcome is not finite")
+    return fidelity, success
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """One protocol configuration.
 
     q_rule selects how the reversal strength is chosen: "formula" for the
     closed-form rule (requires kappa = gamma1 = gamma2), "fixed" for an
-    explicit q_value, "optimal" for the numerically maximizing q.  The
+    explicit q_value, "optimal" for the fidelity-maximizing q.  The
     analytic engine needs equal decay rates and no dephasing; the numeric
     engine integrates the master equation and has no such restriction.
     transfer_time defaults to the full-transfer time when g1 = g2 and must
@@ -180,37 +224,53 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolOutcome:
     )
 
 
-def _best_reversal_strength(
-    rho_t: np.ndarray,
-    spec: ProtocolSpec,
-    grid_points: int = 1000,
-    refine_tol: float = 1e-8,
-) -> tuple[float, float]:
-    def fid(q: float) -> float:
-        kept = apply_reversal_qubit2(rho_t, q, apply_sigma_z=spec.apply_sigma_z)
-        return fidelity_to_target(kept.state, spec.qubit)
+_Q_MAX = 1.0 - 1e-9  # the strongest reversal the optimum may use
 
-    grid = np.linspace(0.0, 1.0 - 1e-9, grid_points)
-    candidates = [grid_then_golden_max(fid, grid, refine_tol)]
+
+def _real_roots(a2: float, a1: float, a0: float) -> list[float]:
+    """Real roots of a2 x^2 + a1 x + a0 = 0, free of cancellation."""
+    if a2 == 0.0:
+        return [] if a1 == 0.0 else [-a0 / a1]
+    disc = a1 * a1 - 4.0 * a2 * a0
+    if disc < 0.0:
+        return []
+    h = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+    return [h / a2, a0 / h] if h != 0.0 else [0.0]
+
+
+def _best_reversal_strength(rho_t: np.ndarray, spec: ProtocolSpec) -> tuple[float, float]:
+    """Exact (q, fidelity) maximizing the fidelity over q in [0, 1 - 1e-9].
+
+    With x = sqrt(1 - q) the fidelity is (A x^2 + B x + D) / (E x^2 + R),
+    E = trace - rho33 and R = rho33, whose stationary points are the roots
+    of -B E x^2 + 2 (A R - D E) x + B R = 0.  The candidates are both ends,
+    the roots inside and the closed-form q where it applies; ties within
+    1e-12 go to the smallest q, which has the higher success probability.
+    """
+    rho00, rho03, rho33, trace = _target_entries(rho_t)
+    coefficients = _overlap_coefficients(spec.qubit, rho00, rho03, rho33, spec.apply_sigma_z)
+    # Python floats: a root far outside (0, 1) overflows to inf quietly
+    a, b, d, e, r = map(float, (*coefficients, trace - rho33, rho33))
+    roots = _real_roots(-b * e, 2.0 * (a * r - d * e), b * r)
+    qs = [0.0, _Q_MAX]
+    qs += [q for q in (1.0 - x * x for x in roots if x > 0.0) if 0.0 < q <= _Q_MAX]
     if spec.params.equal_decay_rate() is not None:
-        # the closed-form rule is a cheap extra candidate when it applies
         q_f, _ = _resolve_formula_q(spec, spec.transfer_time)
         if q_f < 1.0:
-            candidates.append((q_f, fid(q_f)))
-    return pick_best(candidates)
+            qs.append(q_f)
+    fidelity, _ = reversal_outcome(
+        spec.qubit, rho00, rho03, rho33, trace, 1.0 - np.array(qs), spec.apply_sigma_z
+    )
+    return pick_best(list(zip(qs, fidelity.tolist())))
 
 
-def optimize_q(
-    spec: ProtocolSpec, grid_points: int = 1000, refine_tol: float = 1e-8
-) -> tuple[float, float]:
-    """Reversal strength in [0, 1) maximizing fidelity at the given time.
-
-    Coarse grid scan followed by golden-section refinement; ties within
-    1e-12 resolve to the smallest q, which has the higher success
-    probability.  Any q_rule on the spec is ignored.
+def optimize_q(spec: ProtocolSpec) -> tuple[float, float]:
+    """Exact fidelity-maximizing reversal strength in [0, 1 - 1e-9] at the
+    given time, and its fidelity; ties within 1e-12 resolve to the smallest
+    q.  Any q_rule on the spec is ignored.
     """
     rho_t, _ = _evolved_state(spec, spec.transfer_time)
-    return _best_reversal_strength(rho_t, spec, grid_points, refine_tol)
+    return _best_reversal_strength(rho_t, spec)
 
 
 def nojump_protocol_oracle(

@@ -15,13 +15,13 @@ import numpy as np
 
 from .core import QubitAmplitudes, SystemParams, initial_state
 from .lindblad import integrate
-from .measurement import apply_measurement_qubit1, apply_reversal_qubit2
+from .measurement import apply_measurement_qubit1
 from .optimize import grid_then_golden_max_rows
 from .protocol import (
     ProtocolSpec,
-    fidelity_to_target,
+    _target_entries,
     full_transfer_time,
-    q_formula,
+    reversal_outcome,
     run_protocol,
 )
 
@@ -38,12 +38,14 @@ class AxisGrid:
     log: bool = False
 
     def __post_init__(self):
+        if not self.start >= 0:  # a time or a decay ratio
+            raise ValueError("grid-start must be non-negative")
         if self.points < 2:
-            raise ValueError("grid needs at least 2 points")
+            raise ValueError("grid-points must be at least 2")
         if not self.start < self.stop:
-            raise ValueError("grid start must be below stop")
+            raise ValueError("grid-start must be below grid-stop")
         if self.log and self.start <= 0:
-            raise ValueError("log grid needs a positive start")
+            raise ValueError("a log grid needs a positive grid-start")
 
     def values(self) -> np.ndarray:
         if self.log:
@@ -79,8 +81,6 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if not self.s_over_g >= 0:
             raise ValueError("s_over_g must be non-negative")
-        if not self.grid.start >= 0:  # a time or a decay ratio
-            raise ValueError("grid-start must be non-negative")
         for p in (*self.p_values, self.p):
             if not 0.0 <= p < 1.0:
                 raise ValueError(f"measurement strength p={p!r} must lie in [0, 1)")
@@ -138,7 +138,8 @@ def closed_form_outcome(
     unmeasured baseline when p = 0).  Agrees with run_protocol on the
     analytic engine point by point, but touches only what the target state
     sees: the populations of basis states 0 and 3, their coherence and the
-    trace, each an array of the broadcast shape.
+    trace, each an array of the broadcast shape, which reversal_outcome
+    turns into fidelity and success.
 
     Under the closed-form rule every entry of the kept branch carries a
     factor e^{-st}; it is divided out before normalizing, so the state stays
@@ -148,12 +149,10 @@ def closed_form_outcome(
     alpha2 = qubit.alpha**2
     beta2 = abs(qubit.beta) ** 2
     keep = 1.0 - np.asarray(p, dtype=float)
-    # pre-measurement: populations a (ground), b (excited) and the real part
-    # of beta times the coherence c, all relative to N1^2
+    # pre-measurement: populations a (ground) and b (excited), relative to N1^2
     n1_sq = alpha2 + beta2 * keep
     a = alpha2 / n1_sq
     b = beta2 * keep / n1_sq
-    coherence = qubit.alpha * beta2 * np.sqrt(keep) / n1_sq
     # exchange amplitudes c2, c3, c4 (see analytic.transfer_amplitudes)
     r2 = g1 * g1 + g2 * g2
     rt = math.sqrt(r2) * np.asarray(t, dtype=float)
@@ -164,23 +163,17 @@ def closed_form_outcome(
     st = np.asarray(s, dtype=float) * t
     decay = np.exp(-st)
     ground = 1.0 + (a - 1.0) * decay  # rho00
-    # kept branch over its common factor: e^{-st} for the closed-form rule,
-    # 1 for q = 0; weights of the ground sector, basis state 3 and their
-    # coherence after the reversal
-    w_ground = np.where(formula, keep, 1.0)
-    w_excited = np.where(formula, 1.0, decay)
-    w_coherence = np.where(formula, np.sqrt(keep), np.exp(-0.5 * st))
-    k00 = w_ground * ground
-    k33 = w_excited * b * c4 * c4
-    k03 = w_coherence * coherence * c4
-    if apply_sigma_z:
-        k03 = -k03
-    trace = w_ground * (ground + b * (c2 * c2 + c3_sq) * decay) + k33
-    fidelity = (alpha2 * k00 + 2.0 * qubit.alpha * k03 + beta2 * k33) / trace
-    success = np.where(formula, decay, 1.0) * trace
-    if not (np.all(np.isfinite(fidelity)) and np.all(np.isfinite(success))):
-        raise FloatingPointError("closed-form protocol value is not finite")
-    return fidelity, success
+    # qubit-2 amplitude factor c4 e^{-st/2}.  The closed-form rule has
+    # c = (1-p) e^{-st}; dividing its kept branch by e^{-st} leaves c = 1-p
+    # and takes the e^{-st/2} off this factor
+    amp3 = c4 * np.where(formula, 1.0, np.exp(-0.5 * st))
+    rho33 = b * amp3 * amp3
+    rho03 = np.sqrt(keep) / n1_sq * (qubit.alpha * np.conj(qubit.beta)) * amp3
+    trace = ground + b * (c2 * c2 + c3_sq) * decay + rho33
+    fidelity, success = reversal_outcome(
+        qubit, ground, rho03, rho33, trace, np.where(formula, keep, 1.0), apply_sigma_z
+    )
+    return fidelity, np.where(formula, decay, 1.0) * success
 
 
 def time_sweep(spec: SweepSpec) -> SweepResult:
@@ -274,14 +267,16 @@ def dephasing_sweep(spec: SweepSpec) -> SweepResult:
     """Fidelity against g*t for several dephasing rates at fixed p.
 
     Dephasing breaks the closed-form solution, so each series integrates the
-    master equation once from the post-measurement state and applies the
-    reversal at every sample time.
+    master equation once from the post-measurement state and reverses the
+    whole trajectory in one array evaluation, with the closed-form
+    complement 1 - q = (1-p) e^{-st} computed directly.
     """
     if spec.kind != "dephasing":
         raise ValueError("spec.kind must be 'dephasing'")
     times = spec.grid.values()
     s = spec.s_over_g
     pre = apply_measurement_qubit1(initial_state(spec.qubit), spec.p)
+    complement = (1.0 - spec.p) * np.exp(-s * times)
 
     series = {}
     for gamma_ratio in spec.gamma_phi_over_g:
@@ -289,15 +284,10 @@ def dephasing_sweep(spec: SweepSpec) -> SweepResult:
             g1=1.0, g2=1.0, kappa=s, gamma1=s, gamma2=s, gamma_phi=float(gamma_ratio)
         )
         states = integrate(params, pre.state, times).states
-        rows = np.empty((len(times), 2))
-        for i, t in enumerate(times):
-            q = q_formula(spec.p, s, float(t))
-            kept = apply_reversal_qubit2(states[i], q, spec.apply_sigma_z)
-            rows[i] = (
-                fidelity_to_target(kept.state, spec.qubit),
-                kept.success_probability,
-            )
-        series[f"gphi={gamma_ratio:g}g"] = rows
+        fidelity, success = reversal_outcome(
+            spec.qubit, *_target_entries(states), complement, spec.apply_sigma_z
+        )
+        series[f"gphi={gamma_ratio:g}g"] = np.column_stack([fidelity, success])
     return SweepResult("gt", times, series)
 
 

@@ -155,8 +155,7 @@ def test_protocol_rejects_svg(tmp_path):
 
 def test_optimize_q_outputs(tmp_path, capsys):
     code = run_cli(
-        ["optimize-q", "--p", "0.8", "--s-over-g", "2", "--grid-points", "300",
-         "--output-dir", tmp_path]
+        ["optimize-q", "--p", "0.8", "--s-over-g", "2", "--output-dir", tmp_path]
     )
     assert code == 0
     header, row = (tmp_path / "optimize_q.csv").read_text().splitlines()
@@ -267,6 +266,46 @@ def test_fig4_stiff_dephasing(tmp_path, capsys):
     for line in lines[1:]:
         fidelity = float(line.split(",")[1])
         assert 0.0 <= fidelity <= 1.0
+
+
+def test_fig4_under_strong_decay(tmp_path, capsys):
+    # (1-p) e^{-st} drops below 2^-53 inside the grid: 1 - q is formed
+    # directly, never as 1 - (1 - (1-p) e^{-st})
+    code = run_cli(["fig4", "--s-over-g", "10", "--formats", "csv", "--output-dir", tmp_path])
+    assert code == 0
+    for metric in ("fidelity", "success"):
+        table = np.loadtxt(tmp_path / f"fig4_{metric}.csv", delimiter=",", skiprows=1)
+        values = table[:, 1:]
+        assert np.all(np.isfinite(values)) and np.all((values >= 0) & (values <= 1))
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["evolve", "--grid-start", "-1"], "grid-start"),
+        (["evolve", "--grid-points", "1"], "grid-points"),
+        (["evolve", "--grid-stop", "0"], "grid-stop"),
+        (["evolve", "--p", "1"], "strength p"),
+        (["protocol", "--formats", "csv,svg"], "formats"),
+        (["optimize-q", "--formats", ","], "formats"),
+    ],
+)
+def test_invalid_ranges_name_their_key(tmp_path, capsys, flags, key):
+    assert run_cli(flags + ["--output-dir", tmp_path]) == 3
+    assert key in capsys.readouterr().err
+
+
+def test_retired_optimize_q_search_keys(tmp_path, capsys):
+    for flag, value in (("--grid-points", "300"), ("--refine-tol", "1e-8")):
+        assert run_cli(["optimize-q", flag, value, "--output-dir", tmp_path]) == 2
+    cfg_file = tmp_path / "old.cfg"
+    cfg_file.write_text("command=optimize-q\ngrid-points=1000\nrefine-tol=1e-08\np=0.5\n")
+    cfg = parse_config(["optimize-q", "--config", str(cfg_file)])
+    assert cfg.values["p"] == 0.5
+    assert not {"grid-points", "refine-tol"} & set(cfg.meta_config())
+    # the other commands keep grid-points
+    cfg_file.write_text("command=fig4\ngrid-points=9\n")
+    assert parse_config(["fig4", "--config", str(cfg_file)]).values["grid-points"] == 9
 
 
 @pytest.mark.parametrize("command", ["fig2", "fig4"])

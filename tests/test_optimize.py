@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qstsim import golden_section_max, grid_then_golden_max
 from qstsim.optimize import golden_section_max_rows, grid_then_golden_max_rows
+
+
+def golden_section_max(f, lo, hi, tol):
+    """The one-row case of the lockstep golden search."""
+    x, fx = golden_section_max_rows(f, [lo], [hi], tol)
+    return float(x[0]), float(fx[0])
+
+
+def grid_then_golden_max(f, points, tol):
+    """The one-row case of the lockstep grid-then-golden search."""
+    x, fx = grid_then_golden_max_rows(f, points, tol)
+    return float(x[0]), float(fx[0])
 
 
 def test_golden_section_quadratic():
@@ -18,20 +29,20 @@ def test_golden_section_cosine():
     # cos rises to 2*pi and falls after it, so [4, 9] is unimodal; value
     # differences vanish quadratically at the top, so localization cannot
     # beat sqrt(machine eps) ~ 1.5e-8
-    x, _ = golden_section_max(math.cos, 4.0, 9.0, 1e-9)
+    x, _ = golden_section_max(np.cos, 4.0, 9.0, 1e-9)
     assert abs(x - 2 * math.pi) < 1e-7
 
 
 def test_grid_then_golden_never_below_grid_best():
     points = np.linspace(0, 3, 50)
-    f = lambda x: math.sin(3 * x) * math.exp(-0.2 * x)
+    f = lambda x: np.sin(3 * x) * np.exp(-0.2 * x)
     x, fx = grid_then_golden_max(f, points, 1e-8)
-    assert fx >= max(f(p) for p in points)
+    assert fx >= f(points).max()
 
 
 def test_tie_break_prefers_smaller_abscissa():
     # constant function: every point ties, the first grid point must win
-    x, fx = grid_then_golden_max(lambda x: 1.0, np.linspace(0.5, 2.0, 10), 1e-8)
+    x, fx = grid_then_golden_max(np.ones_like, np.linspace(0.5, 2.0, 10), 1e-8)
     assert x == 0.5 and fx == 1.0
 
 
@@ -100,7 +111,7 @@ def test_grid_rows_match_one_row_searches():
 
 def test_non_finite_grid_value_raises():
     with pytest.raises(FloatingPointError):
-        grid_then_golden_max(lambda x: math.nan if x > 1.0 else x, np.linspace(0, 2, 5), 1e-6)
+        grid_then_golden_max(lambda x: np.where(x > 1.0, math.nan, x), np.linspace(0, 2, 5), 1e-6)
 
 
 def test_first_lo_opens_the_bracket_below_the_grid():

@@ -1,8 +1,10 @@
+import cmath
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qstsim import (
     AnalyticInputs,
@@ -10,6 +12,7 @@ from qstsim import (
     QubitAmplitudes,
     SystemParams,
     analytic_rho,
+    apply_reversal_qubit2,
     fidelity_to_target,
     full_transfer_time,
     nojump_protocol_oracle,
@@ -18,6 +21,7 @@ from qstsim import (
     run_protocol,
     target_state,
 )
+from qstsim.protocol import _evolved_state, reversal_outcome
 
 SQRT2 = math.sqrt(2.0)
 BALANCED = QubitAmplitudes(1 / SQRT2, 1 / SQRT2)
@@ -268,3 +272,89 @@ def test_fidelity_to_target_invariant():
     outcome = run_protocol(spec)
     recomputed = fidelity_to_target(outcome.final_state, spec.qubit)
     assert abs(outcome.fidelity - recomputed) < 1e-12
+
+
+_amplitudes = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
+    lambda ap: QubitAmplitudes(ap[0], math.sqrt(1.0 - ap[0] ** 2) * cmath.exp(1j * ap[1]))
+)
+_entries = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)
+
+
+def _physical_state(entries):
+    """G G^+ over its trace: Hermitian, unit trace, positive semidefinite."""
+    g = np.array(entries[:16]).reshape(4, 4) + 1j * np.array(entries[16:]).reshape(4, 4)
+    rho = g @ g.conj().T
+    trace = np.trace(rho).real
+    assume(trace > 1e-6)
+    return rho / trace
+
+
+# c stops short of the subnormal range, where the reference's kept branch
+# c * rho loses its digits
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    entries=_entries,
+    qubit=_amplitudes,
+    c=st.floats(1e-12, 1.0),
+    sigma_z=st.booleans(),
+)
+def test_reversal_outcome_matches_the_reference_channel(entries, qubit, c, sigma_z):
+    rho = _physical_state(entries)
+    q = 1.0 - c
+    kept = apply_reversal_qubit2(rho, q, apply_sigma_z=sigma_z, q_complement=c)
+    fidelity, success = reversal_outcome(
+        qubit, rho[0, 0].real, rho[0, 3], rho[3, 3].real, np.trace(rho).real, c, sigma_z
+    )
+    assert abs(fidelity - fidelity_to_target(kept.state, qubit)) <= 1e-12
+    assert abs(success - kept.success_probability) <= 1e-12
+    assert abs(success - (1.0 - q + q * rho[3, 3].real)) <= 1e-12
+
+
+def test_reversal_outcome_rejects_an_empty_branch():
+    # c = 0 leaves only rho33, which is 0 here: 0/0
+    with pytest.raises(FloatingPointError):
+        reversal_outcome(BALANCED, 1.0, 0.0, 0.0, 1.0, 0.0)
+
+
+_rates = st.floats(0.0, 3.0)
+
+
+@st.composite
+def _optimize_specs(draw):
+    """Analytic specs with equal rates, or numeric ones with unequal rates
+    and dephasing."""
+    if draw(st.booleans()):
+        s = draw(_rates)
+        params, engine = SystemParams(1.0, 1.0, s, s, s), "analytic"
+    else:
+        params = SystemParams(
+            1.0, 1.0, draw(_rates), draw(_rates), draw(_rates), gamma_phi=draw(_rates)
+        )
+        engine = "numeric"
+    return ProtocolSpec(
+        qubit=draw(_amplitudes),
+        params=params,
+        p=draw(st.floats(0.0, 0.95)),
+        q_rule="fixed",
+        q_value=0.0,
+        transfer_time=draw(st.floats(0.05, 6.0)),
+        engine=engine,
+        apply_sigma_z=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=_optimize_specs())
+def test_optimize_q_beats_a_dense_grid(spec):
+    q_opt, f_opt = optimize_q(spec)
+    assert 0.0 <= q_opt <= 1.0 - 1e-9
+    rho_t, _ = _evolved_state(spec, spec.transfer_time)
+    qs = np.linspace(0.0, 1.0 - 1e-9, 10_000)
+    on_grid, _ = reversal_outcome(
+        spec.qubit, rho_t[0, 0].real, rho_t[0, 3], rho_t[3, 3].real,
+        np.trace(rho_t).real, 1.0 - qs, spec.apply_sigma_z,
+    )
+    assert f_opt >= on_grid.max() - 1e-12
+    # the reported fidelity is the one the protocol reaches at q_opt
+    at_q_opt = run_protocol(replace(spec, q_value=q_opt))
+    assert abs(at_q_opt.fidelity - f_opt) <= 1e-12

@@ -200,6 +200,24 @@ def test_dephasing_ordering_through_first_transfer():
         assert np.all(dep.fidelity(upper)[window] > dep.fidelity(lower)[window])
 
 
+@pytest.mark.parametrize("s_over_g", [2.0, 10.0])
+def test_dephasing_sweep_matches_run_protocol_per_point(s_over_g):
+    # at s/g = 10 the closed-form q is 1 to within 2^-53 past g*t ~ 3.7, so
+    # only a complement computed directly keeps the reversal defined
+    spec = replace(small_dephasing_spec(points=13), s_over_g=s_over_g)
+    result = dephasing_sweep(spec)
+    for gamma_ratio in spec.gamma_phi_over_g:
+        params = SystemParams(1.0, 1.0, s_over_g, s_over_g, s_over_g, gamma_phi=gamma_ratio)
+        label = f"gphi={gamma_ratio:g}g"
+        for i, t in enumerate(result.axis_values):
+            outcome = run_protocol(ProtocolSpec(
+                qubit=spec.qubit, params=params, p=spec.p, q_rule="formula",
+                transfer_time=float(t), engine="numeric",
+            ))
+            assert abs(result.fidelity(label)[i] - outcome.fidelity) <= 1e-9
+            assert abs(result.success(label)[i] - outcome.reversal_success) <= 1e-9
+
+
 def test_dephasing_series_coincide_at_zero_time():
     dep = dephasing_sweep(small_dephasing_spec(points=13))
     start_values = [dep.fidelity(label)[0] for label in dep.series]
