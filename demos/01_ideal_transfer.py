@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from qstsim import (
-    AnalyticInputs,
     ProtocolSpec,
     QubitAmplitudes,
     SystemParams,
@@ -22,13 +21,12 @@ from qstsim import (
 )
 
 qubit = QubitAmplitudes(1 / math.sqrt(2), 1 / math.sqrt(2))
-inputs = AnalyticInputs(qubit.alpha, qubit.beta, p=0.0, s=0.0, g1=1.0, g2=1.0)
 t_star = full_transfer_time(1.0)
 
 print("populations during a lossless swap (g1 = g2 = g):")
 print(f"{'g*t':>6}  {'qubit 1':>8}  {'photon':>8}  {'qubit 2':>8}")
 for t in np.linspace(0.0, 2 * t_star, 13):
-    rho = analytic_rho(inputs, t)
+    rho = analytic_rho(qubit, p=0.0, s=0.0, t=t)
     print(
         f"{t:6.3f}  {rho[1, 1].real:8.4f}  {rho[2, 2].real:8.4f}  {rho[3, 3].real:8.4f}"
     )

@@ -6,7 +6,7 @@ rides out the decay, and the reversal on qubit 2 restores the weights
 afterwards.  The stronger the pre-measurement, the better the fidelity and
 the rarer the kept branch: this script tabulates that trade-off at the
 transfer time and compares the closed-form reversal strength with the
-numerically optimal one.
+exactly optimal one.
 """
 
 from dataclasses import replace
@@ -36,7 +36,7 @@ for p in (0.0, 0.2, 0.4, 0.6, 0.8, 0.95):
         f"  {outcome.success_probability:13.3e}"
     )
 
-print("\nclosed-form rule vs numerically optimal reversal at p = 0.8:")
+print("\nclosed-form rule vs exactly optimal reversal at p = 0.8:")
 formula = run_protocol(
     ProtocolSpec(qubit=qubit, params=params, p=0.8, transfer_time=t_star)
 )

@@ -504,10 +504,6 @@ def _build_runtime(effective: str, values):
             pass  # a numeric failure (exit 4), reported when the run starts
     elif effective == "protocol":
         spec = _protocol_spec(values)
-        if spec.q_rule == "formula" and spec.params.equal_decay_rate() is None:
-            raise ValueError(
-                "q-rule 'formula' needs kappa = gamma1 = gamma2; use fixed or optimal"
-            )
         values["gt"] = spec.transfer_time * spec.params.g_ref
     elif effective == "optimize-q":
         spec = _protocol_spec(values, q_rule="fixed", q_value=0.0)

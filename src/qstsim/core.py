@@ -47,12 +47,12 @@ class SystemParams:
     gamma_phi: float = 0.0
 
     def __post_init__(self):
-        if self.g1 < 0 or self.g2 < 0:
+        if not (self.g1 >= 0 and self.g2 >= 0):
             raise ValueError("couplings g1 and g2 must be non-negative")
         if self.g1 == 0 and self.g2 == 0:
             raise ValueError("at least one coupling must be positive")
         for name in ("kappa", "gamma1", "gamma2", "gamma_phi"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"decay rate {name} must be non-negative")
 
     @property
@@ -87,10 +87,8 @@ class QubitAmplitudes:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         norm = self.alpha**2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(
-                f"require alpha^2 + |beta|^2 = 1, got {norm!r}"
-            )
+        if not abs(norm - 1.0) <= 1e-12:
+            raise ValueError(f"require alpha^2 + |beta|^2 = 1, got {norm!r}")
 
 
 def initial_state(qubit: QubitAmplitudes) -> np.ndarray:

@@ -98,15 +98,25 @@ def integrate(
     params: SystemParams,
     rho0: np.ndarray,
     sample_times: "list[float] | np.ndarray",
+    scaled: bool = False,
 ) -> Trajectory:
     """The exact state at each sample time, starting from rho0 at t = 0.
 
     sample_times must be finite, non-negative and strictly increasing; a
-    sample at t = 0 is rho0.  Each sample is reached from the previous one by
-    the propagator expm(L * gap), memoized by the exact float gap, so a
-    uniform grid costs a handful of expm calls.  Every sample is Hermitized,
-    rho <- (rho + rho^+)/2, and the next step starts from it.  A given input
-    always reproduces the same output bit for bit.
+    sample at t = 0 is rho0.  Every jump lands in the ground state and
+    nothing feeds its population back, so only the other 15 entries are
+    propagated and the ground population is the trace deficit.  With equal
+    rates s they are propagated in the frame that multiplies the excited
+    block by e^{st} and the ground coherences by e^{st/2}, where the
+    generator has no net decay and nothing underflows; the frame is undone
+    after sampling.  With scaled, which needs equal rates, the qubit-2 row
+    and column keep their factor e^{st/2}, as in analytic_rho.
+
+    Each sample is reached from the previous one by the propagator
+    expm(G * gap), memoized by the exact float gap, so a uniform grid costs
+    a handful of expm calls.  Every sample is Hermitized, rho <- (rho +
+    rho^+)/2, and the next step starts from it.  A given input always
+    reproduces the same output bit for bit.
 
     Raises FloatingPointError if a state is not finite.
     """
@@ -124,20 +134,38 @@ def integrate(
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (DIM, DIM):
         raise ValueError(f"expected a {DIM}x{DIM} initial state, got {rho.shape}")
+    s = params.equal_decay_rate()
+    if s is None and scaled:
+        raise ValueError("a scaled state needs kappa = gamma1 = gamma2")
+    s = 0.0 if s is None else s
 
-    gen = liouvillian(params)
+    rows, cols = np.divmod(np.arange(1, DIM * DIM), DIM)
+    shift = 0.5 * s * (np.sign(rows) + np.sign(cols))  # s excited, s/2 ground coherences
+    gen = liouvillian(params)[1:, 1:] + np.diag(shift)
+    x = 0.5 * (rho + rho.conj().T)
+    ground0 = x[0, 0].real
+    x[0, 0] = 0.0
+    excited0 = np.trace(x).real
     propagators: "dict[float, np.ndarray]" = {}
-    states = np.empty((samples.size, DIM, DIM), dtype=complex)
+    frame = np.empty((samples.size, DIM, DIM), dtype=complex)
     t = 0.0
     for i, target in enumerate(samples.tolist()):
         gap = target - t
         if gap > 0:
             if gap not in propagators:
                 propagators[gap] = expm(gen * gap)
-            rho = (propagators[gap] @ rho.reshape(-1)).reshape(DIM, DIM)
-        rho = 0.5 * (rho + rho.conj().T)
-        if not np.all(np.isfinite(rho)):
-            raise FloatingPointError(f"state is not finite at t = {target:.6g}")
-        states[i] = rho
+            x = np.append(0.0, propagators[gap] @ x.reshape(-1)[1:]).reshape(DIM, DIM)
+        x = 0.5 * (x + x.conj().T)
+        frame[i] = x
         t = target
+
+    # back from the frame: rows and columns 1..3 by e^{-st/2}, qubit 2's
+    # excepted when scaled; the ground population from the true excited one
+    weights = np.where([False, True, True, not scaled], np.exp(-0.5 * s * samples)[:, None], 1.0)
+    states = frame * (weights[:, :, None] * weights[:, None, :])
+    excited = np.exp(-s * samples) * np.trace(frame, axis1=1, axis2=2).real
+    states[:, 0, 0] = ground0 + (excited0 - excited)
+    bad = ~np.isfinite(states).all(axis=(1, 2))
+    if bad.any():
+        raise FloatingPointError(f"state is not finite at t = {samples[bad.argmax()]:.6g}")
     return Trajectory(times=samples, states=states)

@@ -102,39 +102,28 @@ def apply_measurement_qubit1(state: np.ndarray, p: float) -> PostSelectedState:
 
 
 def apply_reversal_qubit2(
-    rho: np.ndarray,
-    q: float,
-    apply_sigma_z: bool = True,
-    q_complement: float | None = None,
+    rho: np.ndarray, q: float, apply_sigma_z: bool = True
 ) -> PostSelectedState:
     """Reverse the transfer-induced damping on qubit 2 and fix its phase.
 
     Applies the kept branch of a second partial measurement, bit-flip
     conjugated so that it rescales the qubit-2 ground sector: rows and
     columns 0..2 pick up sqrt(1-q) relative to the untouched excited entry.
-    The branch probability is 1 - q + q*rho33.  A sigma_z on qubit 2 (on by
+    The branch probability is 1 - q + q*rho33 for a unit-trace rho.  A sigma_z on qubit 2 (on by
     default) then flips the sign of the coherences to basis state 3, which
     corrects the sign the excitation exchange imprints on them.
-
-    When q is so close to 1 that 1 - q would lose all precision (strong
-    decay), pass the exactly computed complement via ``q_complement``; the
-    channel only ever uses 1 - q.
     """
-    if q_complement is None:
-        q_complement = 1.0 - q
-        if q >= 1.0:
-            raise DegenerateReversal("no reversal exists for q >= 1")
-        if q < 0.0:
-            raise ValueError("reversal strength q must lie in [0, 1)")
-    elif not 0.0 < q_complement <= 1.0:
-        raise DegenerateReversal("reversal needs 0 < 1 - q <= 1")
+    if q >= 1.0:
+        raise DegenerateReversal("no reversal exists for q >= 1")
+    if q < 0.0:
+        raise ValueError("reversal strength q must lie in [0, 1)")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (DIM, DIM):
         raise ValueError(f"expected a {DIM}x{DIM} density matrix")
 
     # diag(sqrt(1-q), sqrt(1-q), sqrt(1-q), 1): the bit-flip conjugated
     # kept-branch Kraus operator lifted onto qubit 2
-    root = math.sqrt(q_complement)
+    root = math.sqrt(1.0 - q)
     kraus = embed_qubit2_op(PAULI_X @ np.diag([1.0, root]).astype(complex) @ PAULI_X)
     kept = kraus @ rho @ kraus
     prob = float(np.trace(kept).real)  # equals 1 - q + q * rho[3, 3]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticInputs, _effective_generator, analytic_rho
+from .analytic import _effective_generator, analytic_rho
 from .core import (
     QubitAmplitudes,
     SIGMA_Z2,
@@ -137,13 +137,17 @@ class ProtocolSpec:
                 raise ValueError(
                     "analytic engine requires kappa = gamma1 = gamma2 and no dephasing"
                 )
+        if self.q_rule == "formula" and self.params.equal_decay_rate() is None:
+            raise ValueError(
+                "q-rule 'formula' needs kappa = gamma1 = gamma2; use fixed or optimal"
+            )
         if self.transfer_time is None:
             if self.params.g1 != self.params.g2:
                 raise ValueError("transfer_time must be given when g1 != g2")
             object.__setattr__(
                 self, "transfer_time", full_transfer_time(self.params.g1)
             )
-        elif self.transfer_time < 0:
+        elif not self.transfer_time >= 0:
             raise ValueError("transfer_time must be non-negative")
 
 
@@ -154,77 +158,66 @@ class ProtocolOutcome:
     reversal_success is the kept-branch probability of the reversal alone,
     1 - q + q*rho33 (the quantity usually plotted); success_probability is
     the end-to-end product with the pre-measurement branch probability,
-    which is what an experiment pays per attempt.  q_complement_used carries
-    1 - q exactly; under strong decay the closed-form q is so close to 1
-    that q_used itself may round to 1.0.
+    which is what an experiment pays per attempt.  Under strong decay the
+    closed-form q is so close to 1 that q_used may round to 1.0.
     """
 
     fidelity: float
     q_used: float
-    q_complement_used: float
     final_state: np.ndarray
     premeasure_success: float
     reversal_success: float
     success_probability: float
 
 
-def _evolved_state(spec: ProtocolSpec, t: float) -> tuple[np.ndarray, float]:
-    """State just before the reversal, and the pre-measurement probability."""
+def _evolved_state(spec: ProtocolSpec, t: float, scaled: bool = False) -> tuple[np.ndarray, float]:
+    """State just before the reversal, and the pre-measurement probability.
+
+    With scaled, the qubit-2 row and column are multiplied by e^{st/2} (see
+    analytic_rho); this needs equal decay rates.
+    """
     pre = apply_measurement_qubit1(initial_state(spec.qubit), spec.p)
+    params = spec.params
     if spec.engine == "analytic":
-        inputs = AnalyticInputs(
-            alpha=spec.qubit.alpha,
-            beta=spec.qubit.beta,
-            p=spec.p,
-            s=spec.params.equal_decay_rate(),
-            g1=spec.params.g1,
-            g2=spec.params.g2,
+        rho = analytic_rho(
+            spec.qubit, spec.p, params.equal_decay_rate(), t, params.g1, params.g2, scaled
         )
-        rho = analytic_rho(inputs, t)
     else:
-        rho = integrate(spec.params, pre.state, [t]).states[-1]
+        rho = integrate(params, pre.state, [t], scaled).states[-1]
     return rho, pre.success_probability
 
 
-def _resolve_formula_q(spec: ProtocolSpec, t: float) -> tuple[float, float]:
-    """(q, 1-q) from the closed-form rule; the complement is cancellation-free."""
-    s = spec.params.equal_decay_rate()
-    if s is None:
-        raise ValueError(
-            "q_rule 'formula' needs kappa = gamma1 = gamma2; use 'fixed' or 'optimal'"
-        )
-    q = q_formula(spec.p, s, t)
-    complement = (1.0 - spec.p) * math.exp(-s * t)
-    return q, complement
-
-
 def run_protocol(spec: ProtocolSpec) -> ProtocolOutcome:
-    """Run the full pipeline and report fidelity and success probabilities."""
+    """Run the full pipeline and report fidelity and success probabilities.
+
+    The closed-form q = 1 - (1-p) e^{-st}, whether the formula rule or the
+    optimum picks it, is applied as the reversal with q = p of the scaled
+    state, whose success probability is e^{st} times larger: the same
+    channel, with nothing left to underflow as e^{-st} goes to 0.
+    """
     t = spec.transfer_time
-    rho_t, pre_prob = _evolved_state(spec, t)
-    if spec.q_rule == "formula":
-        q, complement = _resolve_formula_q(spec, t)
-    elif spec.q_rule == "fixed":
-        q, complement = spec.q_value, 1.0 - spec.q_value
-    else:
+    s = spec.params.equal_decay_rate()
+    formula = spec.q_rule == "formula"
+    rho_t, pre_prob = _evolved_state(spec, t, scaled=formula)
+    q = q_formula(spec.p, s, t) if formula else spec.q_value
+    if spec.q_rule == "optimal":
         q, _ = _best_reversal_strength(rho_t, spec)
-        complement = 1.0 - q
-    reversed_ = apply_reversal_qubit2(
-        rho_t, q, apply_sigma_z=spec.apply_sigma_z, q_complement=complement
-    )
-    fidelity = fidelity_to_target(reversed_.state, spec.qubit)
+        formula = s is not None and q == q_formula(spec.p, s, t)
+        if formula:
+            rho_t, _ = _evolved_state(spec, t, scaled=True)
+    reversed_ = apply_reversal_qubit2(rho_t, spec.p if formula else q, spec.apply_sigma_z)
+    reversal_success = reversed_.success_probability * (math.exp(-s * t) if formula else 1.0)
     return ProtocolOutcome(
-        fidelity=fidelity,
+        fidelity=fidelity_to_target(reversed_.state, spec.qubit),
         q_used=q,
-        q_complement_used=complement,
         final_state=reversed_.state,
         premeasure_success=pre_prob,
-        reversal_success=reversed_.success_probability,
-        success_probability=pre_prob * reversed_.success_probability,
+        reversal_success=reversal_success,
+        success_probability=pre_prob * reversal_success,
     )
 
 
-_Q_MAX = 1.0 - 1e-9  # the strongest reversal the optimum may use
+_Q_MAX = 1.0 - 1e-9  # the strongest reversal the optimum may use, bar the closed form
 
 
 def _real_roots(a2: float, a1: float, a0: float) -> list[float]:
@@ -239,14 +232,17 @@ def _real_roots(a2: float, a1: float, a0: float) -> list[float]:
 
 
 def _best_reversal_strength(rho_t: np.ndarray, spec: ProtocolSpec) -> tuple[float, float]:
-    """Exact (q, fidelity) maximizing the fidelity over q in [0, 1 - 1e-9].
+    """Exact (q, fidelity) maximizing the fidelity of reversing rho_t.
 
     With x = sqrt(1 - q) the fidelity is (A x^2 + B x + D) / (E x^2 + R),
     E = trace - rho33 and R = rho33, whose stationary points are the roots
-    of -B E x^2 + 2 (A R - D E) x + B R = 0.  The candidates are both ends,
-    the roots inside and the closed-form q where it applies; ties within
-    1e-12 go to the smallest q, which has the higher success probability.
+    of -B E x^2 + 2 (A R - D E) x + B R = 0.  The candidates are q = 0,
+    q = 1 - 1e-9, the roots in between and, with equal rates, the
+    closed-form q, evaluated on the scaled state so that it stays exact as
+    q rounds to 1.  Ties within 1e-12 go to the smallest q, which has the
+    higher success probability.
     """
+    t = spec.transfer_time
     rho00, rho03, rho33, trace = _target_entries(rho_t)
     coefficients = _overlap_coefficients(spec.qubit, rho00, rho03, rho33, spec.apply_sigma_z)
     # Python floats: a root far outside (0, 1) overflows to inf quietly
@@ -254,20 +250,22 @@ def _best_reversal_strength(rho_t: np.ndarray, spec: ProtocolSpec) -> tuple[floa
     roots = _real_roots(-b * e, 2.0 * (a * r - d * e), b * r)
     qs = [0.0, _Q_MAX]
     qs += [q for q in (1.0 - x * x for x in roots if x > 0.0) if 0.0 < q <= _Q_MAX]
-    if spec.params.equal_decay_rate() is not None:
-        q_f, _ = _resolve_formula_q(spec, spec.transfer_time)
-        if q_f < 1.0:
-            qs.append(q_f)
     fidelity, _ = reversal_outcome(
         spec.qubit, rho00, rho03, rho33, trace, 1.0 - np.array(qs), spec.apply_sigma_z
     )
-    return pick_best(list(zip(qs, fidelity.tolist())))
+    candidates = list(zip(qs, fidelity.tolist()))
+    s = spec.params.equal_decay_rate()
+    if s is not None:
+        scaled = _target_entries(_evolved_state(spec, t, scaled=True)[0])
+        f_formula, _ = reversal_outcome(spec.qubit, *scaled, 1.0 - spec.p, spec.apply_sigma_z)
+        candidates.append((q_formula(spec.p, s, t), float(f_formula)))
+    return pick_best(candidates)
 
 
 def optimize_q(spec: ProtocolSpec) -> tuple[float, float]:
-    """Exact fidelity-maximizing reversal strength in [0, 1 - 1e-9] at the
-    given time, and its fidelity; ties within 1e-12 resolve to the smallest
-    q.  Any q_rule on the spec is ignored.
+    """Exact fidelity-maximizing reversal strength at the given time, and
+    its fidelity (see _best_reversal_strength); any q_rule on the spec is
+    ignored.
     """
     rho_t, _ = _evolved_state(spec, spec.transfer_time)
     return _best_reversal_strength(rho_t, spec)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analytic import closed_form_factors
 from .core import QubitAmplitudes, SystemParams, initial_state
 from .lindblad import integrate
 from .measurement import apply_measurement_qubit1
@@ -136,42 +137,21 @@ def closed_form_outcome(
     the common decay rate, the reversal time and whether the reversal uses
     the closed-form q = 1 - (1-p) e^{-st} (True) or q = 0 (False, the
     unmeasured baseline when p = 0).  Agrees with run_protocol on the
-    analytic engine point by point, but touches only what the target state
-    sees: the populations of basis states 0 and 3, their coherence and the
-    trace, each an array of the broadcast shape, which reversal_outcome
-    turns into fidelity and success.
+    analytic engine point by point, but forms only what the target state
+    sees: rho00, rho03, rho33 and the trace, each an array of the broadcast
+    shape, which reversal_outcome turns into fidelity and success.
 
-    Under the closed-form rule every entry of the kept branch carries a
-    factor e^{-st}; it is divided out before normalizing, so the state stays
-    finite as e^{-st} underflows and only the success probability goes to
-    0.  A value that is still not finite raises FloatingPointError.
+    The closed-form rule is the reversal with q = p of the scaled state
+    (see analytic_rho), whose success is multiplied by e^{-st}; so the
+    fidelity stays finite as e^{-st} underflows and only the success goes
+    to 0.  A value that is still not finite raises FloatingPointError.
     """
-    alpha2 = qubit.alpha**2
-    beta2 = abs(qubit.beta) ** 2
-    keep = 1.0 - np.asarray(p, dtype=float)
-    # pre-measurement: populations a (ground) and b (excited), relative to N1^2
-    n1_sq = alpha2 + beta2 * keep
-    a = alpha2 / n1_sq
-    b = beta2 * keep / n1_sq
-    # exchange amplitudes c2, c3, c4 (see analytic.transfer_amplitudes)
-    r2 = g1 * g1 + g2 * g2
-    rt = math.sqrt(r2) * np.asarray(t, dtype=float)
-    cos_rt = np.cos(rt)
-    c2 = (g1 * g1 * cos_rt + g2 * g2) / r2
-    c3_sq = g1 * g1 * np.sin(rt) ** 2 / r2
-    c4 = g1 * g2 * (cos_rt - 1.0) / r2
-    st = np.asarray(s, dtype=float) * t
-    decay = np.exp(-st)
-    ground = 1.0 + (a - 1.0) * decay  # rho00
-    # qubit-2 amplitude factor c4 e^{-st/2}.  The closed-form rule has
-    # c = (1-p) e^{-st}; dividing its kept branch by e^{-st} leaves c = 1-p
-    # and takes the e^{-st/2} off this factor
-    amp3 = c4 * np.where(formula, 1.0, np.exp(-0.5 * st))
-    rho33 = b * amp3 * amp3
-    rho03 = np.sqrt(keep) / n1_sq * (qubit.alpha * np.conj(qubit.beta)) * amp3
-    trace = ground + b * (c2 * c2 + c3_sq) * decay + rho33
+    rho00, k, b, (d1, d2, d3), decay = closed_form_factors(qubit, p, s, t, g1, g2, formula)
+    rho33 = b * d3 * d3
+    trace = rho00 + b * (d1 * d1 + d2 * d2) + rho33
     fidelity, success = reversal_outcome(
-        qubit, ground, rho03, rho33, trace, np.where(formula, keep, 1.0), apply_sigma_z
+        qubit, rho00, k * d3, rho33, trace, np.where(formula, 1.0 - np.asarray(p), 1.0),
+        apply_sigma_z,
     )
     return fidelity, np.where(formula, decay, 1.0) * success
 
@@ -268,26 +248,26 @@ def dephasing_sweep(spec: SweepSpec) -> SweepResult:
 
     Dephasing breaks the closed-form solution, so each series integrates the
     master equation once from the post-measurement state and reverses the
-    whole trajectory in one array evaluation, with the closed-form
-    complement 1 - q = (1-p) e^{-st} computed directly.
+    whole trajectory in one array evaluation, as the closed-form rule does:
+    the scaled state (see integrate), then the reversal with q = p, whose
+    success is multiplied by e^{-st}.
     """
     if spec.kind != "dephasing":
         raise ValueError("spec.kind must be 'dephasing'")
     times = spec.grid.values()
     s = spec.s_over_g
     pre = apply_measurement_qubit1(initial_state(spec.qubit), spec.p)
-    complement = (1.0 - spec.p) * np.exp(-s * times)
 
     series = {}
     for gamma_ratio in spec.gamma_phi_over_g:
         params = SystemParams(
             g1=1.0, g2=1.0, kappa=s, gamma1=s, gamma2=s, gamma_phi=float(gamma_ratio)
         )
-        states = integrate(params, pre.state, times).states
+        states = integrate(params, pre.state, times, scaled=True).states
         fidelity, success = reversal_outcome(
-            spec.qubit, *_target_entries(states), complement, spec.apply_sigma_z
+            spec.qubit, *_target_entries(states), 1.0 - spec.p, spec.apply_sigma_z
         )
-        series[f"gphi={gamma_ratio:g}g"] = np.column_stack([fidelity, success])
+        series[f"gphi={gamma_ratio:g}g"] = np.column_stack([fidelity, np.exp(-s * times) * success])
     return SweepResult("gt", times, series)
 
 

@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from qstsim import (
-    AnalyticInputs,
     AxisGrid,
     ProtocolSpec,
     QubitAmplitudes,
@@ -73,12 +72,11 @@ def equal_rate_params(s, gamma_phi=0.0):
 def equal_rates_benchmark():
     """Numeric vs closed-form evolution for s = 0.5 g, p = 0.5, alpha = 0.6."""
     qubit = QubitAmplitudes(0.6, 0.8)
-    inputs = AnalyticInputs(0.6, 0.8, p=0.5, s=0.5, g1=1.0, g2=1.0)
     pre = apply_measurement_qubit1(initial_state(qubit), 0.5)
     times = np.linspace(0.0, 10.0, 50)
     started = time.perf_counter()
     trajectory = integrate(equal_rate_params(0.5), pre.state, times)
-    analytic_states = [analytic_rho(inputs, t) for t in times]
+    analytic_states = [analytic_rho(qubit, 0.5, 0.5, t) for t in times]
     elapsed = time.perf_counter() - started
     worst = max(
         float(np.max(np.abs(a - n)))
@@ -213,8 +211,7 @@ def test_criterion_05_success_probability_tradeoff():
 
     # verify the success bookkeeping against the trace of the explicitly
     # transformed (unnormalized) matrix before trusting the limit bound
-    inputs = AnalyticInputs(BALANCED.alpha, BALANCED.beta, 0.99, 2.0, 1.0, 1.0)
-    rho = analytic_rho(inputs, T_STAR)
+    rho = analytic_rho(BALANCED, 0.99, 2.0, T_STAR)
     q_bar = (1 - 0.99) * math.exp(-2.0 * T_STAR)
     kraus = np.diag([math.sqrt(q_bar)] * 3 + [1.0]).astype(complex)
     trace = float(np.trace(kraus @ rho @ kraus).real)

@@ -4,43 +4,58 @@ import numpy as np
 import pytest
 
 from qstsim import (
-    AnalyticInputs,
+    ProtocolSpec,
+    QubitAmplitudes,
+    SystemParams,
     analytic_rho,
     nojump_amplitudes,
     physicality_violations,
     transfer_amplitudes,
 )
 
+QUBIT = QubitAmplitudes(0.6, 0.8)
+
 
 def random_inputs(rng):
+    """(qubit, p, s, g1, g2), the arguments of analytic_rho but t."""
     alpha = rng.uniform(0.05, 0.95)
     phase = rng.uniform(0, 2 * math.pi)
     beta = math.sqrt(1 - alpha**2) * np.exp(1j * phase)
-    return AnalyticInputs(
-        alpha=alpha,
-        beta=beta,
-        p=rng.uniform(0, 0.95),
-        s=rng.uniform(0, 2.0),
-        g1=rng.uniform(0.2, 2.0),
-        g2=rng.uniform(0.2, 2.0),
+    return (
+        QubitAmplitudes(alpha, beta),
+        rng.uniform(0, 0.95),
+        rng.uniform(0, 2.0),
+        rng.uniform(0.2, 2.0),
+        rng.uniform(0.2, 2.0),
+    )
+
+
+def post_measurement(qubit, p):
+    """(a, b, c): ground and excited populations and their coherence after
+    the pre-measurement."""
+    n1_sq = qubit.alpha**2 + abs(qubit.beta) ** 2 * (1 - p)
+    return (
+        qubit.alpha**2 / n1_sq,
+        abs(qubit.beta) ** 2 * (1 - p) / n1_sq,
+        qubit.alpha * np.conj(qubit.beta) * math.sqrt(1 - p) / n1_sq,
     )
 
 
 def nojump_rho(inputs, t):
     """Independent assembly: outer product of the no-jump branch plus the
     jump deficit parked on the ground population."""
-    psi = nojump_amplitudes(inputs, t)
+    psi = nojump_amplitudes(*inputs[:3], t, *inputs[3:])
     rho = np.outer(psi, psi.conj())
     rho[0, 0] += 1.0 - np.vdot(psi, psi).real
     return rho
 
 
 def test_initial_state_matches_post_measurement_form():
-    inputs = AnalyticInputs(alpha=0.6, beta=0.8, p=0.5, s=0.7, g1=1.0, g2=1.3)
-    rho = analytic_rho(inputs, 0.0)
-    np.testing.assert_allclose(rho[0, 0], inputs.a, atol=1e-15)
-    np.testing.assert_allclose(rho[1, 1], inputs.b, atol=1e-15)
-    np.testing.assert_allclose(rho[0, 1], inputs.c, atol=1e-15)
+    rho = analytic_rho(QUBIT, 0.5, 0.7, 0.0, 1.0, 1.3)
+    a, b, c = post_measurement(QUBIT, 0.5)
+    np.testing.assert_allclose(rho[0, 0], a, atol=1e-15)
+    np.testing.assert_allclose(rho[1, 1], b, atol=1e-15)
+    np.testing.assert_allclose(rho[0, 1], c, atol=1e-15)
     # nothing has reached the resonator or qubit 2 yet
     assert np.all(rho[2:, :] == 0) and np.all(rho[:, 2:] == 0)
 
@@ -49,9 +64,8 @@ def test_full_transfer_point():
     # lossless, balanced couplings: at rt = pi the excitation sits on qubit 2
     # with amplitude -1 (c2 = c3 = 0, c4 = -1)
     inv = 1 / math.sqrt(2)
-    inputs = AnalyticInputs(alpha=inv, beta=inv, p=0.0, s=0.0, g1=1.0, g2=1.0)
     t = math.pi / math.sqrt(2)
-    rho = analytic_rho(inputs, t)
+    rho = analytic_rho(QubitAmplitudes(inv, inv), 0.0, 0.0, t)
     np.testing.assert_allclose(rho[3, 3], 0.5, atol=1e-12)
     np.testing.assert_allclose(rho[1, 1], 0.0, atol=1e-12)
     np.testing.assert_allclose(rho[2, 2], 0.0, atol=1e-12)
@@ -59,16 +73,16 @@ def test_full_transfer_point():
 
 
 def test_transfer_amplitudes_at_pi():
-    c2, c3, c4 = transfer_amplitudes(1.0, 1.0, math.pi / math.sqrt(2))
-    np.testing.assert_allclose([c2, c3, c4], [0.0, 0.0, -1.0], atol=1e-12)
+    c2, ic3, c4 = transfer_amplitudes(1.0, 1.0, math.pi / math.sqrt(2))
+    np.testing.assert_allclose([c2, ic3, c4], [0.0, 0.0, -1.0], atol=1e-12)
 
 
 def test_trace_is_one():
     rng = np.random.default_rng(42)
     for _ in range(30):
-        inputs = random_inputs(rng)
+        qubit, p, s, g1, g2 = random_inputs(rng)
         t = rng.uniform(0, 15)
-        assert abs(np.trace(analytic_rho(inputs, t)) - 1.0) < 1e-12
+        assert abs(np.trace(analytic_rho(qubit, p, s, t, g1, g2)) - 1.0) < 1e-12
 
 
 def test_printed_entry_forms():
@@ -76,11 +90,10 @@ def test_printed_entry_forms():
     sector) must agree with the amplitude-product assembly entrywise."""
     rng = np.random.default_rng(3)
     for _ in range(25):
-        inputs = random_inputs(rng)
+        qubit, p, s, g1, g2 = random_inputs(rng)
         t = rng.uniform(0, 12)
-        g1, g2, s = inputs.g1, inputs.g2, inputs.s
-        a, b, c = inputs.a, inputs.b, inputs.c
-        r = inputs.r
+        a, b, c = post_measurement(qubit, p)
+        r = math.hypot(g1, g2)
         rt = r * t
         e = math.exp(-s * t)
         eh = math.exp(-s * t / 2)
@@ -114,13 +127,12 @@ def test_printed_entry_forms():
         for i in range(4):
             for j in range(i):
                 expected[i, j] = np.conj(expected[j, i])
-        np.testing.assert_allclose(analytic_rho(inputs, t), expected, atol=1e-13)
+        np.testing.assert_allclose(analytic_rho(qubit, p, s, t, g1, g2), expected, atol=1e-13)
 
 
 def test_nojump_initial_amplitudes():
-    inputs = AnalyticInputs(alpha=0.6, beta=0.8, p=0.36, s=1.1, g1=0.9, g2=1.4)
-    psi = nojump_amplitudes(inputs, 0.0)
-    n1 = math.sqrt(inputs.n1_sq)
+    psi = nojump_amplitudes(QUBIT, 0.36, 1.1, 0.0, 0.9, 1.4)
+    n1 = math.sqrt(0.6**2 + 0.8**2 * (1 - 0.36))
     np.testing.assert_allclose(psi[0], 0.6 / n1, atol=1e-14)
     np.testing.assert_allclose(psi[1], 0.8 * math.sqrt(1 - 0.36) / n1, atol=1e-14)
     np.testing.assert_allclose(psi[2:], 0, atol=1e-14)
@@ -128,16 +140,14 @@ def test_nojump_initial_amplitudes():
 
 def test_nojump_unit_norm_without_decay():
     rng = np.random.default_rng(11)
-    inputs = AnalyticInputs(alpha=0.6, beta=0.8, p=0.2, s=0.0, g1=1.0, g2=0.7)
     for _ in range(10):
         t = rng.uniform(0, 20)
-        psi = nojump_amplitudes(inputs, t)
+        psi = nojump_amplitudes(QUBIT, 0.2, 0.0, t, 1.0, 0.7)
         np.testing.assert_allclose(np.linalg.norm(psi), 1.0, atol=1e-12)
 
 
 def test_nojump_transfer_point_empties_qubit1_and_photon():
-    inputs = AnalyticInputs(alpha=0.6, beta=0.8, p=0.3, s=0.8, g1=1.0, g2=1.0)
-    psi = nojump_amplitudes(inputs, math.pi / math.sqrt(2))
+    psi = nojump_amplitudes(QUBIT, 0.3, 0.8, math.pi / math.sqrt(2))
     np.testing.assert_allclose(psi[1], 0.0, atol=1e-12)
     np.testing.assert_allclose(psi[2], 0.0, atol=1e-12)
 
@@ -150,49 +160,49 @@ def test_closed_forms_match_nojump_assembly():
         inputs = random_inputs(rng)
         t = rng.uniform(0, 10)
         np.testing.assert_allclose(
-            analytic_rho(inputs, t), nojump_rho(inputs, t), atol=1e-10
+            analytic_rho(*inputs[:3], t, *inputs[3:]), nojump_rho(inputs, t), atol=1e-10
         )
 
 
 def test_states_stay_physical():
     rng = np.random.default_rng(5)
     for _ in range(40):
-        inputs = random_inputs(rng)
-        rho = analytic_rho(inputs, rng.uniform(0, 10))
+        qubit, p, s, g1, g2 = random_inputs(rng)
+        rho = analytic_rho(qubit, p, s, rng.uniform(0, 10), g1, g2)
         assert physicality_violations(rho) == []
 
 
 def test_ground_recovery_is_stroboscopically_monotone():
-    inputs = AnalyticInputs(alpha=0.6, beta=0.8, p=0.1, s=0.4, g1=1.0, g2=1.0)
-    period = 2 * math.pi / inputs.r
-    populations = [analytic_rho(inputs, k * period)[0, 0].real for k in range(8)]
+    period = 2 * math.pi / math.sqrt(2)
+    populations = [analytic_rho(QUBIT, 0.1, 0.4, k * period)[0, 0].real for k in range(8)]
     assert np.all(np.diff(populations) >= 0)
 
 
 def test_long_time_limit_is_ground():
-    inputs = AnalyticInputs(alpha=0.6, beta=0.8, p=0.4, s=1.0, g1=1.0, g2=1.0)
-    rho = analytic_rho(inputs, 50.0)  # s*t = 50
+    rho = analytic_rho(QUBIT, 0.4, 1.0, 50.0)  # s*t = 50
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 1.0
     np.testing.assert_allclose(rho, expected, atol=1e-9)
 
 
 def test_input_validation():
+    # the amplitudes and the couplings are checked where they are built
     with pytest.raises(ValueError):
-        AnalyticInputs(alpha=0.7, beta=0.8, p=0.1, s=0.1, g1=1.0, g2=1.0)
+        QubitAmplitudes(0.7, 0.8)
     with pytest.raises(ValueError):
-        AnalyticInputs(alpha=0.6, beta=0.8, p=1.0, s=0.1, g1=1.0, g2=1.0)
+        ProtocolSpec(qubit=QUBIT, params=SystemParams(1.0, 1.0), p=1.0)
     with pytest.raises(ValueError):
-        AnalyticInputs(alpha=0.6, beta=0.8, p=0.1, s=-0.1, g1=1.0, g2=1.0)
-    inputs = AnalyticInputs(alpha=0.6, beta=0.8, p=0.1, s=0.1, g1=1.0, g2=1.0)
+        SystemParams(1.0, 1.0, kappa=-0.1, gamma1=-0.1, gamma2=-0.1)
     with pytest.raises(ValueError):
-        analytic_rho(inputs, -1.0)
+        analytic_rho(QUBIT, 0.1, 0.1, -1.0)
+    for p, s, t in ((0.1, 0.1, [0.0, math.nan]), (0.1, -0.1, 1.0), (1.0, 0.1, 1.0), (math.nan, 0.1, 1.0)):
+        with pytest.raises(ValueError):
+            analytic_rho(QUBIT, p, s, np.array(t))
 
 
 def test_degenerate_beta_zero():
     # nothing to transfer: all formulas stay finite and the state is static
-    inputs = AnalyticInputs(alpha=1.0, beta=0.0, p=0.5, s=0.7, g1=1.0, g2=1.0)
-    rho = analytic_rho(inputs, 3.0)
+    rho = analytic_rho(QubitAmplitudes(1.0, 0.0), 0.5, 0.7, 3.0)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 1.0
     np.testing.assert_allclose(rho, expected, atol=1e-14)

@@ -288,6 +288,7 @@ def test_fig4_under_strong_decay(tmp_path, capsys):
         (["evolve", "--p", "1"], "strength p"),
         (["protocol", "--formats", "csv,svg"], "formats"),
         (["optimize-q", "--formats", ","], "formats"),
+        (["protocol", "--engine", "numeric", "--gamma1-over-g", "0.5"], "q-rule 'formula'"),
     ],
 )
 def test_invalid_ranges_name_their_key(tmp_path, capsys, flags, key):
@@ -324,3 +325,38 @@ def test_fig3_runs_into_complete_decoherence(tmp_path, capsys):
         table = np.loadtxt(tmp_path / f"fig3_{metric}.csv", delimiter=",", skiprows=1)
         values = table[:, 1:]
         assert np.all(np.isfinite(values)) and np.all((values >= 0) & (values <= 1))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["protocol", "--s-over-g", "1000"],
+        ["protocol", "--s-over-g", "1000", "--engine", "numeric"],
+        ["optimize-q", "--s-over-g", "1000"],
+        ["fig4", "--s-over-g", "130"],
+    ],
+)
+def test_strong_decay_commands_succeed(tmp_path, capsys, argv):
+    # e^{-st} underflows at the transfer time (s/g = 1000) or inside the
+    # fig4 grid (s/g = 130); only the success probability may reach 0
+    assert run_cli(argv + ["--formats", "csv", "--output-dir", tmp_path]) == 0
+    for path in tmp_path.glob("*.csv"):
+        header = path.read_text().splitlines()[0].split(",")
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        for name, column in zip(header, table.T):
+            if name != "gt":
+                assert np.all((column >= 0) & (column <= 1)), (path.name, name)
+
+
+def test_strong_decay_engines_agree(tmp_path, capsys):
+    results = {}
+    for engine in ("analytic", "numeric"):
+        out = tmp_path / engine
+        argv = ["protocol", "--s-over-g", "1000", "--p", "0.3", "--engine", engine]
+        assert run_cli(argv + ["--formats", "json", "--output-dir", out]) == 0
+        data = json.loads((out / "protocol.json").read_text())["data"]
+        state = np.array(data["final_state_re"]) + 1j * np.array(data["final_state_im"])
+        assert qstsim.physicality_violations(state) == []
+        results[engine] = (data["fidelity"], state)
+    assert abs(results["analytic"][0] - results["numeric"][0]) <= 1e-9
+    np.testing.assert_allclose(results["analytic"][1], results["numeric"][1], rtol=0, atol=1e-9)

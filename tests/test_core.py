@@ -139,6 +139,22 @@ def test_qubit_amplitudes_validation():
         QubitAmplitudes(0.7, 0.8)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SystemParams(np.nan, 1.0),
+        lambda: SystemParams(1.0, np.nan),
+        lambda: SystemParams(1.0, 1.0, kappa=np.nan),
+        lambda: SystemParams(1.0, 1.0, gamma_phi=np.nan),
+        lambda: QubitAmplitudes(np.nan, 0.8),
+        lambda: QubitAmplitudes(0.6, complex(0.8, np.nan)),
+    ],
+)
+def test_nan_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_collapse_term_defaults():
     term = CollapseTerm(np.eye(4, dtype=complex), 0.5)
     assert term.dephasing is False

@@ -1,9 +1,12 @@
 
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qstsim import (
-    AnalyticInputs,
     QubitAmplitudes,
     SystemParams,
     analytic_rho,
@@ -73,13 +76,12 @@ def test_closed_system_preserves_purity():
 
 
 def test_matches_closed_forms_for_equal_rates():
-    inputs = AnalyticInputs(alpha=0.6, beta=0.8, p=0.5, s=0.5, g1=1.0, g2=1.0)
     params = SystemParams(1.0, 1.0, kappa=0.5, gamma1=0.5, gamma2=0.5)
     pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.5)
     times = np.linspace(0.0, 10.0, 50)
     traj = integrate(params, pre.state, times)
     worst = max(
-        np.max(np.abs(analytic_rho(inputs, t) - state))
+        np.max(np.abs(analytic_rho(QubitAmplitudes(0.6, 0.8), 0.5, 0.5, t) - state))
         for t, state in zip(traj.times, traj.states)
     )
     assert worst < 1e-7
@@ -192,3 +194,30 @@ def test_non_finite_state_raises():
     rho0[0, 0] = np.nan
     with pytest.raises(FloatingPointError):
         integrate(SystemParams(1.0, 1.0, kappa=0.5), rho0, [1.0])
+
+
+_amplitudes = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
+    lambda ap: QubitAmplitudes(ap[0], math.sqrt(1.0 - ap[0] ** 2) * cmath.exp(1j * ap[1]))
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    qubit=_amplitudes,
+    p=st.floats(0.0, 0.99),
+    s=st.floats(0.0, 1e3),
+    t=st.floats(0.0, 6.0),
+    g1=st.floats(0.2, 2.0),
+    g2=st.floats(0.2, 2.0),
+)
+def test_scaled_state_matches_the_closed_form(qubit, p, s, t, g1, g2):
+    # the qubit-2 row and column carry e^{st/2}: finite where e^{-st} underflows
+    pre = apply_measurement_qubit1(initial_state(qubit), p)
+    numeric = integrate(SystemParams(g1, g2, s, s, s), pre.state, [t], scaled=True).states[-1]
+    expected = analytic_rho(qubit, p, s, t, g1, g2, scaled=True)
+    np.testing.assert_allclose(numeric, expected, rtol=0, atol=1e-12)
+
+
+def test_scaled_state_needs_equal_rates():
+    with pytest.raises(ValueError, match="kappa = gamma1 = gamma2"):
+        integrate(SystemParams(1.0, 1.0, 0.5, 0.4, 0.5), basis_projector(1), [1.0], scaled=True)

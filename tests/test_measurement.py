@@ -161,15 +161,20 @@ def test_reversal_sign_pattern():
 
 
 def test_reversal_complement_path_matches_direct():
+    # the closed-form complement c = (1-p) e^{-st} applied to rho is the
+    # reversal with q = p of E rho E, E = diag(1, 1, 1, e^{st/2}), whose
+    # success is e^{st} times larger
     rng = np.random.default_rng(77)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
-    q = 0.9
-    direct = apply_reversal_qubit2(rho, q)
-    via_complement = apply_reversal_qubit2(rho, q, q_complement=1.0 - q)
-    np.testing.assert_allclose(direct.state, via_complement.state, atol=1e-15)
+    p, st = 0.3, 2.0
+    direct = apply_reversal_qubit2(rho, 1.0 - (1.0 - p) * math.exp(-st))
+    e = np.diag([1.0, 1.0, 1.0, math.exp(0.5 * st)])
+    via_scaled = apply_reversal_qubit2(e @ rho @ e, p)
+    np.testing.assert_allclose(direct.state, via_scaled.state, atol=1e-14)
+    np.testing.assert_allclose(
+        direct.success_probability, math.exp(-st) * via_scaled.success_probability, rtol=1e-14
+    )
     with pytest.raises(DegenerateReversal):
         apply_reversal_qubit2(rho, 1.0)
-    with pytest.raises(DegenerateReversal):
-        apply_reversal_qubit2(rho, 1.0, q_complement=0.0)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qstsim import (
-    AnalyticInputs,
     ProtocolSpec,
     QubitAmplitudes,
     SystemParams,
@@ -17,6 +16,7 @@ from qstsim import (
     full_transfer_time,
     nojump_protocol_oracle,
     optimize_q,
+    physicality_violations,
     q_formula,
     run_protocol,
     target_state,
@@ -96,7 +96,7 @@ def test_outcome_matches_direct_fidelity_expression():
         )
         outcome = run_protocol(spec)
 
-        rho = analytic_rho(AnalyticInputs(alpha, beta, p, s, 1.0, 1.0), t)
+        rho = analytic_rho(qubit, p, s, t)
         qbar = (1 - p) * math.exp(-s * t)
         norm = (1 - rho[3, 3].real) * qbar + rho[3, 3].real
         direct = (
@@ -168,6 +168,19 @@ def test_analytic_engine_rejects_unequal_rates():
         )
 
 
+def test_nan_transfer_time_rejected():
+    with pytest.raises(ValueError, match="transfer_time"):
+        ProtocolSpec(qubit=BALANCED, params=equal_rate_params(1.0), transfer_time=math.nan)
+
+
+def test_formula_rule_needs_equal_rates():
+    unequal = SystemParams(1.0, 1.0, kappa=0.5, gamma1=0.4, gamma2=0.5)
+    with pytest.raises(ValueError, match="q-rule 'formula' needs kappa = gamma1 = gamma2"):
+        ProtocolSpec(qubit=BALANCED, params=unequal, engine="numeric")
+    for rule, q_value in (("fixed", 0.3), ("optimal", None)):
+        ProtocolSpec(qubit=BALANCED, params=unequal, q_rule=rule, q_value=q_value, engine="numeric")
+
+
 def test_transfer_time_required_for_unbalanced_couplings():
     with pytest.raises(ValueError):
         ProtocolSpec(qubit=BALANCED, params=SystemParams(1.0, 1.3))
@@ -215,6 +228,22 @@ def test_optimal_q_is_state_dependent():
         q_opt, _ = optimize_q(spec)
         offsets.append(q_opt - q_formula(0.8, 2.0, t))
     assert max(offsets) - min(offsets) > 1e-4
+
+
+@pytest.mark.parametrize("s", [10.0, 20.0, 1000.0])
+@pytest.mark.parametrize("engine", ["analytic", "numeric"])
+def test_optimum_never_below_the_formula_under_strong_decay(s, engine):
+    # (1-p) e^{-st} falls below 1e-9 and then below 2^-53, where the
+    # closed-form q rounds to 1; the optimum still has it as a candidate
+    spec = ProtocolSpec(
+        qubit=QubitAmplitudes(0.6, 0.8), params=equal_rate_params(s), p=0.3,
+        q_rule="fixed", q_value=0.0, engine=engine,
+    )
+    _, f_opt = optimize_q(spec)
+    formula = run_protocol(replace(spec, q_rule="formula"))
+    optimal = run_protocol(replace(spec, q_rule="optimal"))
+    assert f_opt >= formula.fidelity - 1e-12
+    assert abs(optimal.fidelity - f_opt) <= 1e-12
 
 
 def test_optimal_q_rule_runs_through_protocol():
@@ -301,7 +330,8 @@ def _physical_state(entries):
 def test_reversal_outcome_matches_the_reference_channel(entries, qubit, c, sigma_z):
     rho = _physical_state(entries)
     q = 1.0 - c
-    kept = apply_reversal_qubit2(rho, q, apply_sigma_z=sigma_z, q_complement=c)
+    c = 1.0 - q  # the complement the reference channel forms from q
+    kept = apply_reversal_qubit2(rho, q, apply_sigma_z=sigma_z)
     fidelity, success = reversal_outcome(
         qubit, rho[0, 0].real, rho[0, 3], rho[3, 3].real, np.trace(rho).real, c, sigma_z
     )
@@ -347,7 +377,9 @@ def _optimize_specs(draw):
 @given(spec=_optimize_specs())
 def test_optimize_q_beats_a_dense_grid(spec):
     q_opt, f_opt = optimize_q(spec)
-    assert 0.0 <= q_opt <= 1.0 - 1e-9
+    s = spec.params.equal_decay_rate()
+    closed_form = s is not None and q_opt == q_formula(spec.p, s, spec.transfer_time)
+    assert 0.0 <= q_opt <= 1.0 - 1e-9 or closed_form
     rho_t, _ = _evolved_state(spec, spec.transfer_time)
     qs = np.linspace(0.0, 1.0 - 1e-9, 10_000)
     on_grid, _ = reversal_outcome(
@@ -355,6 +387,54 @@ def test_optimize_q_beats_a_dense_grid(spec):
         np.trace(rho_t).real, 1.0 - qs, spec.apply_sigma_z,
     )
     assert f_opt >= on_grid.max() - 1e-12
-    # the reported fidelity is the one the protocol reaches at q_opt
-    at_q_opt = run_protocol(replace(spec, q_value=q_opt))
+    # the reported fidelity is the one the protocol reaches at q_opt; the
+    # closed-form q is reached exactly only on the formula path
+    at_q_opt = run_protocol(
+        replace(spec, q_rule="formula") if closed_form else replace(spec, q_value=q_opt)
+    )
     assert abs(at_q_opt.fidelity - f_opt) <= 1e-12
+    optimal = run_protocol(replace(spec, q_rule="optimal"))
+    assert optimal.q_used == q_opt and optimal.fidelity == at_q_opt.fidelity
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    qubit=_amplitudes,
+    p=st.floats(0.0, 0.99),
+    s=st.floats(0.0, 1e3),
+    t=st.floats(0.0, 6.0),
+    rule=st.sampled_from(["formula", "fixed", "optimal"]),
+    q=st.floats(0.0, 0.999),
+    engine=st.sampled_from(["analytic", "numeric"]),
+    sigma_z=st.booleans(),
+)
+def test_every_rule_ends_in_a_physical_state(qubit, p, s, t, rule, q, engine, sigma_z):
+    spec = ProtocolSpec(
+        qubit=qubit, params=equal_rate_params(s), p=p, q_rule=rule,
+        q_value=q if rule == "fixed" else None, transfer_time=t, engine=engine,
+        apply_sigma_z=sigma_z,
+    )
+    outcome = run_protocol(spec)
+    assert physicality_violations(outcome.final_state) == []
+    for value in (
+        outcome.fidelity, outcome.premeasure_success, outcome.reversal_success,
+        outcome.success_probability,
+    ):
+        assert -1e-12 <= value <= 1.0 + 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    qubit=_amplitudes,
+    s=st.floats(0.0, 1e3),
+    t=st.floats(0.0, 6.0),
+    ps=st.lists(st.floats(0.0, 0.99), min_size=2, max_size=2),
+)
+def test_stronger_measurement_trades_success_for_fidelity(qubit, s, t, ps):
+    # the paper's claim, for the closed-form rule with equal rates
+    weak, strong = (
+        run_protocol(ProtocolSpec(qubit=qubit, params=equal_rate_params(s), p=p, transfer_time=t))
+        for p in sorted(ps)
+    )
+    assert strong.fidelity >= weak.fidelity - 1e-12
+    assert strong.reversal_success <= weak.reversal_success + 1e-12
