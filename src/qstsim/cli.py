@@ -15,6 +15,7 @@ failure, 5 I/O failure.
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -270,7 +271,10 @@ class RunConfig:
 # parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves it unchanged, and argparse looks
+    # sys.stdout and sys.stderr up when it prints, not when it is built
     parser = argparse.ArgumentParser(
         prog="qstsim",
         description="Measurement-assisted state transfer through a lossy resonator.",

@@ -13,21 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _effective_generator, analytic_rho
-from .core import (
-    QubitAmplitudes,
-    SIGMA_Z2,
-    SystemParams,
-    embed_qubit2_op,
-    initial_state,
-    target_state,
-)
+from .analytic import analytic_rho
+from .core import QubitAmplitudes, SystemParams, initial_state, target_state
 from .lindblad import integrate
-from .measurement import (
-    PAULI_X,
-    apply_measurement_qubit1,
-    apply_reversal_qubit2,
-)
+from .measurement import apply_measurement_qubit1, apply_reversal_qubit2
 from .optimize import pick_best
 
 
@@ -269,35 +258,3 @@ def optimize_q(spec: ProtocolSpec) -> tuple[float, float]:
     """
     rho_t, _ = _evolved_state(spec, spec.transfer_time)
     return _best_reversal_strength(rho_t, spec)
-
-
-def nojump_protocol_oracle(
-    qubit: QubitAmplitudes, p: float, s: float, g: float, t: float
-) -> np.ndarray:
-    """Pure-state walkthrough of the protocol on the no-jump branch.
-
-    Composes the three steps mechanically on unnormalized amplitudes: kept
-    measurement branch on qubit 1, no-jump propagation by the effective
-    non-Hermitian generator, then the reversal (with the closed-form q) and
-    sigma_z on qubit 2.  Only valid at the first full-transfer time of the
-    equal-coupling model, where the qubit-1 and photon amplitudes vanish;
-    other times are rejected.  The result is returned in the convention
-    where the sigma_z's global sign is absorbed, so it is proportional to
-    alpha|ground> + beta|qubit 2 excited>.
-    """
-    from scipy.linalg import expm
-
-    t_star = full_transfer_time(g)
-    if abs(t - t_star) > 1e-9:
-        raise ValueError(
-            f"the pure-state walkthrough holds only at t = {t_star!r}, got {t!r}"
-        )
-    # closed-form rule, complement computed directly (see q_formula)
-    root_complement = math.sqrt(1.0 - p) * math.exp(-0.5 * s * t)
-    psi = np.array([qubit.alpha, qubit.beta * math.sqrt(1.0 - p), 0.0, 0.0], complex)
-    psi = expm(_effective_generator(g, g, s) * t) @ psi
-    reversal = embed_qubit2_op(
-        PAULI_X @ np.diag([1.0, root_complement]).astype(complex) @ PAULI_X
-    )
-    psi = SIGMA_Z2 @ (reversal @ psi)
-    return -psi

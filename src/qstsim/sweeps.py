@@ -146,9 +146,11 @@ def closed_form_outcome(
     fidelity stays finite as e^{-st} underflows and only the success goes
     to 0.  A value that is still not finite raises FloatingPointError.
     """
-    rho00, k, b, (d1, d2, d3), decay = closed_form_factors(qubit, p, s, t, g1, g2, formula)
+    rho00, k, b, (c2, ic3, c4), (_, f3), decay = closed_form_factors(qubit, p, s, t, g1, g2, formula)
+    d3 = c4 * f3
     rho33 = b * d3 * d3
-    trace = rho00 + b * (d1 * d1 + d2 * d2) + rho33
+    # qubit 1 and photon: the undamped sum on the time axis, then the decay
+    trace = rho00 + b * (c2 * c2 + ic3 * ic3) * decay + rho33
     fidelity, success = reversal_outcome(
         qubit, rho00, k * d3, rho33, trace, np.where(formula, 1.0 - np.asarray(p), 1.0),
         apply_sigma_z,

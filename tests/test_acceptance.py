@@ -35,7 +35,6 @@ from qstsim import (
     m0_operator,
     m1_operator,
     max_fidelity_over_time,
-    nojump_protocol_oracle,
     q_formula,
     reversal_operator,
     run_protocol,
@@ -43,6 +42,8 @@ from qstsim import (
     time_sweep,
 )
 from qstsim.cli import main as cli_main
+
+from oracles import nojump_protocol_oracle
 
 SQRT2 = math.sqrt(2.0)
 BALANCED = QubitAmplitudes(1 / SQRT2, 1 / SQRT2)

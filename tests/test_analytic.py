@@ -8,10 +8,11 @@ from qstsim import (
     QubitAmplitudes,
     SystemParams,
     analytic_rho,
-    nojump_amplitudes,
     physicality_violations,
     transfer_amplitudes,
 )
+
+from oracles import nojump_amplitudes
 
 QUBIT = QubitAmplitudes(0.6, 0.8)
 

@@ -192,14 +192,43 @@ def test_evolve_conserves_trace(tmp_path, capsys):
         assert abs(sum(cells[i] for i in pops) - 1.0) < 1e-9
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported only on the paths that call expm
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # no command needs scipy, the numeric engine included
     env = dict(os.environ, PYTHONPATH=str(Path(qstsim.__file__).resolve().parents[1]))
-    probe = "import sys, qstsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    probe = (
+        "import sys, qstsim.cli\n"
+        "out = sys.argv[1]\n"
+        "for argv in (['protocol', '--engine', 'numeric'], ['optimize-q', '--engine', 'numeric'],\n"
+        "             ['evolve', '--grid-points', '9'], ['fig4', '--grid-points', '5']):\n"
+        "    assert qstsim.cli.main(argv + ['--output-dir', out]) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path)], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_one_parser_serves_every_run(tmp_path, capsys):
+    fig2 = ["fig2", "--grid-points", "21", "--formats", "csv", "--output-dir"]
+    assert run_cli(fig2 + [tmp_path / "first"]) == 0
+    capsys.readouterr()
+    assert run_cli(["protocol", "--no-such-flag", "1"]) == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    assert run_cli(["protocol", "--output-dir", tmp_path / "protocol"]) == 0
+    assert run_cli(["fig4", "--grid-points", "5", "--output-dir", tmp_path / "fig4"]) == 0
+    assert run_cli(fig2 + [tmp_path / "again"]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(qstsim.__file__).resolve().parents[1]))
+    subprocess.run(
+        [sys.executable, "-m", "qstsim.cli", *fig2, str(tmp_path / "fresh")], env=env,
+        capture_output=True, check=True,
+    )
+    fresh = sorted((tmp_path / "fresh").glob("*.csv"))
+    assert fresh
+    for path in fresh:
+        for run in ("first", "again"):
+            assert (tmp_path / run / path.name).read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize(

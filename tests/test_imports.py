@@ -1,9 +1,12 @@
-"""Every module-level import in the package and its tests is used.
+"""Every module-level import in the package and its tests is used, and the
+package never imports scipy.
 
 A small AST scan instead of a linter: a name bound by a top-level import
 counts as used when it appears anywhere in the module as a name (an
 attribute chain starts with one), inside a string annotation, or in the
-module's ``__all__``.
+module's ``__all__``.  scipy is a test-only dependency, kept as an
+independent reference; an import of it anywhere in the package, inside a
+function or through importlib included, fails the scan.
 """
 
 import ast
@@ -12,9 +15,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "qstsim").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "qstsim").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> "dict[str, int]":
@@ -82,3 +84,40 @@ def test_checker_flags_an_unused_import():
         "def f(x: 'Any') -> None:\n    return os.path.join(x)\n"
     )
     assert unused_imports(source) == [("math", 1), ("dumps", 3)]
+
+
+def _imported_modules(node: ast.AST) -> "list[str]":
+    """Modules an import statement or an importlib call names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""] if node.level == 0 else []
+    if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in ("import_module", "__import__") and isinstance(node.args[0].value, str):
+            return [node.args[0].value]
+    return []
+
+
+def scipy_imports(source: str) -> "list[int]":
+    """Lines that import scipy, at any depth."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if any(name.split(".")[0] == "scipy" for name in _imported_modules(node))
+    )
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_package_never_imports_scipy(path):
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_every_scipy_import():
+    source = (
+        "import numpy, scipy\nfrom .scipy import x\n"
+        "def f():\n    from scipy.linalg import expm\n    import scipy.special as sp\n"
+        "    return importlib.import_module('scipy.sparse'), __import__('scipy')\n"
+    )
+    assert scipy_imports(source) == [1, 4, 5, 6, 6]

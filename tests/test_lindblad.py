@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from qstsim import (
     QubitAmplitudes,
@@ -13,10 +14,12 @@ from qstsim import (
     apply_measurement_qubit1,
     initial_state,
     integrate,
-    lindblad_rhs,
+    lindblad,
     liouvillian,
     physicality_violations,
 )
+
+from oracles import lindblad_rhs
 
 
 def basis_projector(i):
@@ -173,20 +176,72 @@ def test_stiff_dephasing_stays_physical():
 
 
 def test_uniform_grid_reuses_propagators(monkeypatch):
-    import scipy.linalg
+    # one stacked evaluation, one propagator per distinct float gap
+    stacks = []
+    real_expm_stack = lindblad.expm_stack
 
-    calls = []
-    real_expm = scipy.linalg.expm
+    def counting_expm_stack(a):
+        stacks.append(a)
+        return real_expm_stack(a)
 
-    def counting_expm(m):
-        calls.append(m)
-        return real_expm(m)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(lindblad, "expm_stack", counting_expm_stack)
     params = SystemParams(1.0, 1.0, kappa=2.0, gamma1=2.0, gamma2=2.0, gamma_phi=0.1)
     times = np.linspace(0.0, 6.0, 241)
     integrate(params, basis_projector(1), times)
-    assert 0 < len(calls) == len(set(np.diff(times).tolist())) <= 10
+    assert len(stacks) == 1
+    assert 0 < len(stacks[0]) == len(set(np.diff(times).tolist())) <= 10
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    g1=st.floats(0.2, 2.0),
+    g2=st.floats(0.2, 2.0),
+    rates=st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3), st.floats(0.0, 1e3)),
+    gamma_phi=st.floats(0.0, 1e6),
+    gaps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4),
+)
+def test_expm_stack_matches_scipy(g1, g2, rates, gamma_phi, gaps):
+    gen = liouvillian(SystemParams(g1, g2, *rates, gamma_phi=gamma_phi))[1:, 1:]
+    stack = gen * np.array(gaps)[:, None, None]
+    for a, x in zip(stack, lindblad.expm_stack(stack)):
+        # each of the log2(norm / theta_13) squarings doubles the rounding
+        # error, in both codes, so above 4e5 the bound grows with the norm
+        norm = np.abs(a).sum(axis=0).max()
+        bound = 1e-12 if norm <= 1e4 else max(1e-10, 2.5e-16 * norm)
+        np.testing.assert_allclose(x, expm(a), rtol=0, atol=bound)
+
+
+@pytest.mark.parametrize(
+    "decay, gap, atol",
+    [
+        (2.0, 0.1, 1e-11),  # about 15 squarings
+        # about 22 squarings of a nearly conserved population block: each
+        # doubles the rounding error, and scipy is as far from the truth
+        (1e-3, 10.0, 1e-9),
+    ],
+)
+def test_expm_stack_near_a_high_precision_reference(decay, gap, atol):
+    mpmath = pytest.importorskip("mpmath")
+    params = SystemParams(1.0, 1.0, decay, decay, decay, gamma_phi=1e6)
+    a = gap * liouvillian(params)[1:, 1:]
+    with mpmath.workdps(60):
+        exact = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
+    np.testing.assert_allclose(lindblad.expm_stack(a[None])[0], exact, rtol=0, atol=atol)
+    np.testing.assert_allclose(expm(a), exact, rtol=0, atol=atol)
+
+
+def test_expm_stack_rows_equal_single_evaluations():
+    # every row keeps its own scaling, from none (gap 0) to many squarings
+    gen = liouvillian(SystemParams(1.0, 0.7, 0.3, 0.2, 0.5, gamma_phi=1e3))[1:, 1:]
+    stack = gen * np.concatenate([[0.0], np.logspace(-3, 1, 9)])[:, None, None]
+    out = lindblad.expm_stack(stack)
+    np.testing.assert_allclose(out[0], np.eye(15), rtol=0, atol=1e-15)
+    for a, x in zip(stack, out):
+        np.testing.assert_array_equal(x, lindblad.expm_stack(a[None])[0])
+
+
+def test_expm_stack_of_an_empty_stack_is_empty():
+    assert lindblad.expm_stack(np.zeros((0, 15, 15), dtype=complex)).shape == (0, 15, 15)
 
 
 def test_non_finite_state_raises():

@@ -14,7 +14,6 @@ from qstsim import (
     apply_reversal_qubit2,
     fidelity_to_target,
     full_transfer_time,
-    nojump_protocol_oracle,
     optimize_q,
     physicality_violations,
     q_formula,
@@ -22,6 +21,8 @@ from qstsim import (
     target_state,
 )
 from qstsim.protocol import _evolved_state, reversal_outcome
+
+from oracles import nojump_protocol_oracle
 
 SQRT2 = math.sqrt(2.0)
 BALANCED = QubitAmplitudes(1 / SQRT2, 1 / SQRT2)
