@@ -50,10 +50,6 @@ from .sweeps import (
     SweepSpec,
     decay_sweep,
     dephasing_sweep,
-    fig_decay_spec,
-    fig_dephasing_spec,
-    fig_time_spec,
-    max_fidelity_over_time,
     time_sweep,
 )
 
@@ -87,9 +83,6 @@ __all__ = [
     "dephasing_sweep",
     "embed_qubit2_op",
     "fidelity_to_target",
-    "fig_decay_spec",
-    "fig_dephasing_spec",
-    "fig_time_spec",
     "full_transfer_time",
     "hamiltonian",
     "hermiticity_defect",
@@ -98,7 +91,6 @@ __all__ = [
     "liouvillian",
     "m0_operator",
     "m1_operator",
-    "max_fidelity_over_time",
     "optimize_q",
     "physicality_violations",
     "q_formula",

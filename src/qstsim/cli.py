@@ -5,6 +5,13 @@ raw master-equation trajectories (``evolve``), and the preset parameter
 sweeps (``fig2``, ``fig3``, ``fig4``, or their generic form ``sweep``),
 writing CSV, JSON and SVG files into the output directory.
 
+Each command is one row of ``_COMMANDS``: its help, its option schema, a
+``build`` that validates the resolved values and returns what the command
+runs on (a ``ProtocolSpec``, a ``SweepSpec``, or evolve's system, qubit and
+grid), and a ``run`` that maps each output file name to its writer.
+``parse_config`` builds once and keeps the result on the ``RunConfig``;
+``_emit`` writes the files whose format was requested, and only those.
+
 Every value can come from a ``--flag`` or from a flat ``key=value`` config
 file (``#`` starts a comment); flags override the file.  The JSON output
 records the fully resolved configuration under ``meta.config``, and feeding
@@ -16,12 +23,11 @@ failure, 5 I/O failure.
 import argparse
 import cmath
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .core import (
@@ -70,10 +76,6 @@ def _finite(value):
 
 def _parse_float(text: str) -> float:
     return _finite(float(text))
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
 
 
 def _parse_bool(text: str) -> bool:
@@ -156,6 +158,7 @@ _QUBIT_OPTS = (
     Option("alpha", _parse_float, _INV_SQRT2, "real amplitude of |0>"),
     Option("beta", _parse_complex, complex(_INV_SQRT2), "amplitude of |1>, may be complex"),
 )
+_P_OPT = Option("p", _parse_float, 0.0, "pre-transfer measurement strength")
 _RATE_OPTS = (
     Option("s-over-g", _parse_float, None, "set kappa, gamma1, gamma2 to this common value (units of g_ref)"),
     Option("g-over-s", _parse_float, None, "reciprocal way to give s-over-g"),
@@ -166,96 +169,34 @@ _RATE_OPTS = (
     Option("g1", _parse_float, 1.0, "qubit-1 coupling"),
     Option("g2", _parse_float, 1.0, "qubit-2 coupling"),
 )
+_REVERSAL_OPTS = (
+    Option("gt", _parse_float, None, "reversal time (g*t); default: full transfer"),
+    Option("engine", _parse_choice("analytic", "numeric"), "analytic", "evolution engine"),
+    Option("sigma-z", _parse_bool, True, "apply the sigma_z correction"),
+)
+_OVERLAY_OPTS = (
+    Option("p", _parse_float_list, (0.0, 0.4, 0.8), "measurement strengths to overlay"),
+    Option("baseline", _parse_bool, True, "include the unmeasured baseline"),
+)
+_TIME_GRID_OPTS = (
+    Option("s-over-g", _parse_float, 2.0, "common decay rate"),
+    Option("g-over-s", _parse_float, None, "reciprocal way to give s-over-g"),
+    Option("grid-start", _parse_float, 0.0, "first g*t"),
+    Option("grid-stop", _parse_float, 6.0, "last g*t"),
+    Option("grid-points", int, 241, "time grid size"),
+)
 # keys of the retired Runge-Kutta stepper, and of the q search grid that the
 # exact optimum retired from optimize-q: config files written before may
 # still hold them, so they are read and ignored
 _RETIRED_KEYS = ("step-size", "tolerance")
 _RETIRED_OPTIMIZE_Q_KEYS = ("grid-points", "refine-tol")
 
-_SCHEMAS: "dict[str, tuple[Option, ...]]" = {
-    "evolve": (
-        *_QUBIT_OPTS,
-        Option("p", _parse_float, 0.0, "pre-transfer measurement strength"),
-        *_RATE_OPTS,
-        Option("grid-start", _parse_float, 0.0, "first sample time (g*t)"),
-        Option("grid-stop", _parse_float, 6.0, "last sample time (g*t)"),
-        Option("grid-points", _parse_int, 241, "number of samples"),
-        *_OUTPUT_OPTS,
-    ),
-    "protocol": (
-        *_QUBIT_OPTS,
-        Option("p", _parse_float, 0.0, "pre-transfer measurement strength"),
-        Option("q-rule", _parse_choice("formula", "fixed", "optimal"), "formula", "reversal strength rule"),
-        Option("q", _parse_float, None, "reversal strength for q-rule=fixed"),
-        Option("gt", _parse_float, None, "reversal time (g*t); default: full transfer"),
-        Option("engine", _parse_choice("analytic", "numeric"), "analytic", "evolution engine"),
-        Option("sigma-z", _parse_bool, True, "apply the sigma_z correction"),
-        *_RATE_OPTS,
-        *_SCALAR_OUTPUT_OPTS,
-    ),
-    "optimize-q": (
-        *_QUBIT_OPTS,
-        Option("p", _parse_float, 0.0, "pre-transfer measurement strength"),
-        Option("gt", _parse_float, None, "reversal time (g*t); default: full transfer"),
-        Option("engine", _parse_choice("analytic", "numeric"), "analytic", "evolution engine"),
-        Option("sigma-z", _parse_bool, True, "apply the sigma_z correction"),
-        *_RATE_OPTS,
-        *_SCALAR_OUTPUT_OPTS,
-    ),
-    "fig2": (
-        *_QUBIT_OPTS,
-        Option("p", _parse_float_list, (0.0, 0.4, 0.8), "measurement strengths to overlay"),
-        Option("baseline", _parse_bool, True, "include the unmeasured baseline"),
-        Option("s-over-g", _parse_float, 2.0, "common decay rate"),
-        Option("g-over-s", _parse_float, None, "reciprocal way to give s-over-g"),
-        Option("grid-start", _parse_float, 0.0, "first g*t"),
-        Option("grid-stop", _parse_float, 6.0, "last g*t"),
-        Option("grid-points", _parse_int, 241, "time grid size"),
-        *_OUTPUT_OPTS,
-    ),
-    "fig3": (
-        Option("alpha", _parse_float, 0.6, "real amplitude of |0>"),
-        Option("beta", _parse_complex, complex(0.8), "amplitude of |1>"),
-        Option("p", _parse_float_list, (0.0, 0.4, 0.8), "measurement strengths to overlay"),
-        Option("baseline", _parse_bool, True, "include the unmeasured baseline"),
-        Option("grid-start", _parse_float, 0.1, "first s/g"),
-        Option("grid-stop", _parse_float, 20.0, "last s/g"),
-        Option("grid-points", _parse_int, 60, "s/g grid size"),
-        Option("log-grid", _parse_bool, True, "log-spaced s/g axis"),
-        Option("t-max", _parse_float, _T_MAX_DEFAULT, "search window for the best time"),
-        Option("coarse-points", _parse_int, 120, "coarse time-scan size"),
-        *_OUTPUT_OPTS,
-    ),
-    "fig4": (
-        *_QUBIT_OPTS,
-        Option("p", _parse_float, 0.8, "measurement strength"),
-        Option("gamma-phi-over-g", _parse_float_list, (0.0, 0.01, 0.1, 1.0), "dephasing rates to overlay"),
-        Option("s-over-g", _parse_float, 2.0, "common decay rate"),
-        Option("g-over-s", _parse_float, None, "reciprocal way to give s-over-g"),
-        Option("grid-start", _parse_float, 0.0, "first g*t"),
-        Option("grid-stop", _parse_float, 6.0, "last g*t"),
-        Option("grid-points", _parse_int, 241, "time grid size"),
-        *_OUTPUT_OPTS,
-    ),
-}
-
-_SWEEP_KIND_COMMAND = {"time": "fig2", "decay": "fig3", "dephasing": "fig4"}
-
-_COMMAND_HELP = {
-    "evolve": "integrate the master equation and dump the state trajectory",
-    "protocol": "run the transfer protocol once and report its figures of merit",
-    "optimize-q": "find the fidelity-maximizing reversal strength",
-    "fig2": "fidelity and success probability against g*t",
-    "fig3": "best achievable fidelity against the decay ratio s/g",
-    "fig4": "fidelity against g*t for several dephasing rates",
-    "sweep": "generic sweep; --kind selects time, decay or dephasing",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
     command: str
     values: "dict[str, object]"
+    spec: "object"  # what the command's build returned
 
     def meta_config(self) -> "dict[str, str]":
         # unset optional keys (value None) are omitted; everything else is
@@ -265,6 +206,286 @@ class RunConfig:
             {key: canonical(v) for key, v in self.values.items() if v is not None}
         )
         return out
+
+
+# ---------------------------------------------------------------------------
+# builders: resolved values -> what a command runs on; a ValueError is an
+# invalid configuration
+
+
+def _qubit(values) -> QubitAmplitudes:
+    return QubitAmplitudes(values["alpha"], values["beta"])
+
+
+def _system_params(values) -> SystemParams:
+    return SystemParams(
+        g1=values["g1"],
+        g2=values["g2"],
+        kappa=values["kappa-over-g"],
+        gamma1=values["gamma1-over-g"],
+        gamma2=values["gamma2-over-g"],
+        gamma_phi=values["gamma-phi-over-g"],
+    )
+
+
+def _build_evolve(values) -> "tuple[SystemParams, QubitAmplitudes, AxisGrid]":
+    params = _system_params(values)
+    grid = AxisGrid(values["grid-start"], values["grid-stop"], values["grid-points"])
+    qubit = _qubit(values)
+    try:
+        apply_measurement_qubit1(initial_state(qubit), values["p"])
+    except ZeroProbability:
+        pass  # a numeric failure (exit 4), reported when the run starts
+    return params, qubit, grid
+
+
+def _build_protocol(values) -> ProtocolSpec:
+    """The spec of protocol, or of optimize-q, which has no q-rule and gets a
+    fixed q = 0 that optimize_q ignores.  The resolved reversal time is
+    written back to gt, so that meta.config replays it."""
+    params = _system_params(values)
+    gt = values["gt"]
+    spec = ProtocolSpec(
+        qubit=_qubit(values),
+        params=params,
+        p=values["p"],
+        q_rule=values.get("q-rule", "fixed"),
+        q_value=values.get("q", 0.0),
+        transfer_time=None if gt is None else float(gt) / params.g_ref,
+        engine=values["engine"],
+        apply_sigma_z=values["sigma-z"],
+    )
+    values["gt"] = spec.transfer_time * params.g_ref
+    return spec
+
+
+# per sweep kind: the sweep, its x-axis label, and the SweepSpec field of
+# each option besides the grid, the amplitudes and the baseline
+_SWEEPS = {
+    "time": (time_sweep, "gt", {"s-over-g": "s_over_g", "p": "p_values"}),
+    "decay": (decay_sweep, "s/g", {"p": "p_values", "t-max": "t_max", "coarse-points": "coarse_points"}),
+    "dephasing": (
+        dephasing_sweep, "gt", {"s-over-g": "s_over_g", "p": "p", "gamma-phi-over-g": "gamma_phi_over_g"},
+    ),
+}
+
+
+def _build_sweep(kind: str, values) -> SweepSpec:
+    return SweepSpec(
+        kind=kind,
+        grid=AxisGrid(
+            values["grid-start"], values["grid-stop"], values["grid-points"], values.get("log-grid", False)
+        ),
+        qubit=_qubit(values),
+        include_baseline=values.get("baseline", False),
+        **{field: values[key] for key, field in _SWEEPS[kind][2].items()},
+    )
+
+
+# ---------------------------------------------------------------------------
+# runners: RunConfig -> {file name: writer}, in output order; a writer takes
+# the path and renders its file only when called
+
+
+def _csv(axis_name, axis_values, columns):
+    return lambda path: write_csv(path, axis_name, axis_values, columns)
+
+
+def _svg(title, x_label, y_label, x, series):
+    return lambda path: write_svg(path, svg_line_plot(title, x_label, y_label, x, series))
+
+
+def _json(cfg: RunConfig, data):
+    """data: a function returning the JSON data block."""
+    return lambda path: write_json(
+        path, make_meta(__version__, cfg.command, cfg.meta_config()), data()
+    )
+
+
+def _record_files(cfg: RunConfig, prefix: str, record: "dict[str, float]", extra=dict):
+    def data():
+        return {**{key: float(val) for key, val in record.items()}, **extra()}
+
+    return {
+        f"{prefix}.csv": lambda path: write_record_csv(path, record),
+        f"{prefix}.json": _json(cfg, data),
+    }
+
+
+_LEVELS = {"ground": GROUND, "qubit1": QUBIT1, "photon": PHOTON, "qubit2": QUBIT2}
+
+
+def _run_evolve(cfg: RunConfig) -> dict:
+    params, qubit, grid = cfg.spec
+    pre = apply_measurement_qubit1(initial_state(qubit), cfg.values["p"])
+    gts = grid.values()
+    states = integrate(params, pre.state, gts / params.g_ref).states
+    series = {f"pop_{name}": states[:, i, i].real for name, i in _LEVELS.items()}
+    columns = dict(series)
+    for (a, i), (b, j) in itertools.combinations(_LEVELS.items(), 2):
+        columns[f"re_{a}_{b}"] = states[:, i, j].real
+        columns[f"im_{a}_{b}"] = states[:, i, j].imag
+    return {
+        "evolve_trajectory.csv": _csv("gt", gts, columns),
+        "evolve.json": _json(cfg, lambda: csv_mirror("gt", gts, columns)),
+        "evolve_populations.svg": _svg("evolve: populations", "gt", "population", gts, series),
+    }
+
+
+def _run_protocol(cfg: RunConfig) -> dict:
+    outcome = run_protocol(cfg.spec)
+    record = {
+        "fidelity": outcome.fidelity,
+        "q_used": outcome.q_used,
+        "premeasure_success": outcome.premeasure_success,
+        "reversal_success": outcome.reversal_success,
+        "success_probability": outcome.success_probability,
+        "gt": cfg.values["gt"],
+    }
+    state = outcome.final_state
+    return _record_files(cfg, "protocol", record, lambda: {
+        "final_state_re": [[float(v) for v in row] for row in state.real],
+        "final_state_im": [[float(v) for v in row] for row in state.imag],
+    })
+
+
+def _run_optimize_q(cfg: RunConfig) -> dict:
+    spec = cfg.spec
+    q_opt, f_opt = optimize_q(spec)
+    record = {"q_opt": q_opt, "fidelity_opt": f_opt, "gt": cfg.values["gt"]}
+    if spec.params.equal_decay_rate() is not None:
+        formula_run = run_protocol(replace(spec, q_rule="formula"))
+        record["q_formula"] = formula_run.q_used
+        record["fidelity_formula"] = formula_run.fidelity
+    return _record_files(cfg, "optimize_q", record)
+
+
+def _run_sweep(cfg: RunConfig) -> dict:
+    sweep, x_label, _ = _SWEEPS[cfg.spec.kind]
+    result = sweep(cfg.spec)
+    prefix = cfg.command  # fig2, fig3, fig4 or sweep
+    axis = (result.axis_name, result.axis_values)
+    columns = {metric: result.columns(metric) for metric in ("fidelity", "success")}
+    files = {f"{prefix}_{metric}.csv": _csv(*axis, cols) for metric, cols in columns.items()}
+    files[f"{prefix}.json"] = _json(
+        cfg, lambda: csv_mirror(*axis, {**columns["fidelity"], **columns["success"]})
+    )
+    for metric, cols in columns.items():
+        series = {name[len(metric) + 1 : -1]: col for name, col in cols.items()}
+        files[f"{prefix}_{metric}.svg"] = _svg(
+            f"{prefix}: {metric}", x_label, metric, result.axis_values, series
+        )
+    return files
+
+
+def _emit(cfg: RunConfig, files: dict) -> "list[Path]":
+    """Write, in order, the files whose extension is a requested format."""
+    directory = Path(cfg.values["output-dir"])
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = [directory / name for name in files if name.rpartition(".")[2] in cfg.values["formats"]]
+    for path in paths:
+        files[path.name](path)
+    return paths
+
+
+# ---------------------------------------------------------------------------
+# the commands
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    schema: "tuple[Option, ...]"
+    build: "object"  # resolved values -> what run works on
+    run: "object"  # RunConfig -> {file name: writer}
+
+
+_COMMANDS = {
+    "evolve": Command(
+        "integrate the master equation and dump the state trajectory",
+        (
+            *_QUBIT_OPTS,
+            _P_OPT,
+            *_RATE_OPTS,
+            Option("grid-start", _parse_float, 0.0, "first sample time (g*t)"),
+            Option("grid-stop", _parse_float, 6.0, "last sample time (g*t)"),
+            Option("grid-points", int, 241, "number of samples"),
+            *_OUTPUT_OPTS,
+        ),
+        _build_evolve, _run_evolve,
+    ),
+    "protocol": Command(
+        "run the transfer protocol once and report its figures of merit",
+        (
+            *_QUBIT_OPTS,
+            _P_OPT,
+            Option("q-rule", _parse_choice("formula", "fixed", "optimal"), "formula", "reversal strength rule"),
+            Option("q", _parse_float, None, "reversal strength for q-rule=fixed"),
+            *_REVERSAL_OPTS,
+            *_RATE_OPTS,
+            *_SCALAR_OUTPUT_OPTS,
+        ),
+        _build_protocol, _run_protocol,
+    ),
+    "optimize-q": Command(
+        "find the fidelity-maximizing reversal strength",
+        (*_QUBIT_OPTS, _P_OPT, *_REVERSAL_OPTS, *_RATE_OPTS, *_SCALAR_OUTPUT_OPTS),
+        _build_protocol, _run_optimize_q,
+    ),
+    "fig2": Command(
+        "fidelity and success probability against g*t",
+        (*_QUBIT_OPTS, *_OVERLAY_OPTS, *_TIME_GRID_OPTS, *_OUTPUT_OPTS),
+        functools.partial(_build_sweep, "time"), _run_sweep,
+    ),
+    "fig3": Command(
+        "best achievable fidelity against the decay ratio s/g",
+        (
+            Option("alpha", _parse_float, 0.6, "real amplitude of |0>"),
+            Option("beta", _parse_complex, complex(0.8), "amplitude of |1>"),
+            *_OVERLAY_OPTS,
+            Option("grid-start", _parse_float, 0.1, "first s/g"),
+            Option("grid-stop", _parse_float, 20.0, "last s/g"),
+            Option("grid-points", int, 60, "s/g grid size"),
+            Option("log-grid", _parse_bool, True, "log-spaced s/g axis"),
+            Option("t-max", _parse_float, _T_MAX_DEFAULT, "search window for the best time"),
+            Option("coarse-points", int, 120, "coarse time-scan size"),
+            *_OUTPUT_OPTS,
+        ),
+        functools.partial(_build_sweep, "decay"), _run_sweep,
+    ),
+    "fig4": Command(
+        "fidelity against g*t for several dephasing rates",
+        (
+            *_QUBIT_OPTS,
+            Option("p", _parse_float, 0.8, "measurement strength"),
+            Option("gamma-phi-over-g", _parse_float_list, (0.0, 0.01, 0.1, 1.0), "dephasing rates to overlay"),
+            *_TIME_GRID_OPTS,
+            *_OUTPUT_OPTS,
+        ),
+        functools.partial(_build_sweep, "dephasing"), _run_sweep,
+    ),
+}
+
+_SWEEP_KIND_COMMAND = {"time": "fig2", "decay": "fig3", "dephasing": "fig4"}
+_KIND_OPT = Option("kind", _parse_choice(*_SWEEP_KIND_COMMAND), None, "time | decay | dephasing")
+
+
+def _union(schemas) -> "tuple[Option, ...]":
+    """Each key of the schemas once, with the option that first gives it."""
+    first = {}
+    for schema in schemas:
+        for opt in schema:
+            first.setdefault(opt.key, opt)
+    return tuple(first.values())
+
+
+# the parser of the generic sweep takes every flag of the other commands;
+# parse_config narrows it to the schema of the command its kind names
+_COMMANDS["sweep"] = Command(
+    "generic sweep; --kind selects time, decay or dephasing",
+    _union([(_KIND_OPT,), *(row.schema for row in _COMMANDS.values())]),
+    lambda values: _build_sweep(values["kind"], values), _run_sweep,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +501,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Measurement-assisted state transfer through a lossy resonator.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for command, schema in list(_SCHEMAS.items()) + [("sweep", ())]:
-        cmd = sub.add_parser(command, help=_COMMAND_HELP[command])
+    for command, row in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=row.help)
         cmd.add_argument("--config", default=None, help="key=value config file")
-        if command == "sweep":
-            cmd.add_argument("--kind", default=None, help="time | decay | dephasing")
-            seen = {"kind"}
-            for other in _SCHEMAS.values():
-                for opt in other:
-                    if opt.key not in seen:
-                        seen.add(opt.key)
-                        cmd.add_argument(f"--{opt.key}", default=None, help=opt.help)
-        else:
-            for opt in schema:
-                cmd.add_argument(f"--{opt.key}", default=None, help=opt.help)
+        for opt in row.schema:
+            cmd.add_argument(f"--{opt.key}", default=None, help=opt.help)
     return parser
 
 
@@ -314,20 +526,9 @@ def _read_config_file(path: str) -> "dict[str, str]":
     return pairs
 
 
-def _schema_for(command: str, raw: "dict[str, str]") -> "tuple[str, list[Option]]":
-    """Resolve the effective command and option list ('sweep' delegates)."""
-    if command != "sweep":
-        return command, list(_SCHEMAS[command])
-    kind = raw.get("kind")
-    if kind not in _SWEEP_KIND_COMMAND:
-        raise ValidationError("sweep needs --kind time, decay or dephasing")
-    schema = [Option("kind", _parse_choice(*_SWEEP_KIND_COMMAND), kind)]
-    schema.extend(_SCHEMAS[_SWEEP_KIND_COMMAND[kind]])
-    return command, schema
-
-
 def parse_config(argv: "list[str]") -> RunConfig:
-    """Turn argv (flags plus optional config file) into a validated RunConfig.
+    """Turn argv (flags plus optional config file) into a validated RunConfig
+    that holds what the command runs on.
 
     Precedence: built-in defaults, then the config file, then flags.  Unknown
     config keys and invalid values are reported by name, all at once.
@@ -354,7 +555,12 @@ def parse_config(argv: "list[str]") -> RunConfig:
     }
     raw.update(flag_values)
 
-    command, schema = _schema_for(command, raw)
+    schema = _COMMANDS[command].schema
+    if command == "sweep":
+        kind = raw.get("kind")
+        if kind not in _SWEEP_KIND_COMMAND:
+            raise ValidationError("sweep needs --kind time, decay or dephasing")
+        schema = (replace(_KIND_OPT, default=kind), *_COMMANDS[_SWEEP_KIND_COMMAND[kind]].schema)
     known = {opt.key for opt in schema}
     errors = [f"unknown configuration key {key!r}" for key in raw if key not in known]
 
@@ -370,17 +576,20 @@ def parse_config(argv: "list[str]") -> RunConfig:
     if errors:
         raise ValidationError("\n".join(errors))
 
-    effective = command if command != "sweep" else _SWEEP_KIND_COMMAND[values["kind"]]
-    errors = _resolve_and_validate(effective, values, explicit=set(raw))
+    errors = _resolve(values, explicit=set(raw))
+    if not errors:
+        try:
+            spec = _COMMANDS[command].build(values)
+        except ValueError as exc:
+            errors.append(str(exc))
     if errors:
         raise ValidationError("\n".join(errors))
-    return RunConfig(command=command, values=values)
+    return RunConfig(command, values, spec)
 
 
-def _resolve_and_validate(
-    effective: str, values: "dict[str, object]", explicit: "set[str]"
-) -> "list[str]":
-    """Fold aliases into canonical keys and check the physics constraints."""
+def _resolve(values: "dict[str, object]", explicit: "set[str]") -> "list[str]":
+    """Fold aliases into canonical keys and normalize the amplitudes; returns
+    the errors found."""
     errors = []
 
     if values.get("g-over-s") is not None:
@@ -393,7 +602,7 @@ def _resolve_and_validate(
             values["s-over-g"] = 1.0 / g_over_s
     values.pop("g-over-s", None)
 
-    if effective in ("evolve", "protocol", "optimize-q"):
+    if "kappa-over-g" in values:  # the per-channel rates take s-over-g
         common = values.pop("s-over-g", None)
         for key in ("kappa-over-g", "gamma1-over-g", "gamma2-over-g"):
             if values.get(key) is None:
@@ -412,297 +621,7 @@ def _resolve_and_validate(
         elif abs(norm - 1.0) > _NORM_SLACK:
             values["alpha"] = float(alpha) / norm
             values["beta"] = complex(beta) / norm
-
-    if errors:
-        return errors
-    try:
-        _build_runtime(effective, values)
-    except (ValueError, ValidationError) as exc:
-        errors.append(str(exc))
     return errors
-
-
-# ---------------------------------------------------------------------------
-# runtime object construction (shared between validation and execution)
-
-
-def _qubit(values) -> QubitAmplitudes:
-    return QubitAmplitudes(values["alpha"], values["beta"])
-
-
-def _system_params(values) -> SystemParams:
-    return SystemParams(
-        g1=values["g1"],
-        g2=values["g2"],
-        kappa=values["kappa-over-g"],
-        gamma1=values["gamma1-over-g"],
-        gamma2=values["gamma2-over-g"],
-        gamma_phi=values["gamma-phi-over-g"],
-    )
-
-
-def _protocol_spec(values, q_rule=None, q_value=None) -> ProtocolSpec:
-    params = _system_params(values)
-    gt = values.get("gt")
-    transfer_time = None if gt is None else float(gt) / params.g_ref
-    return ProtocolSpec(
-        qubit=_qubit(values),
-        params=params,
-        p=values["p"],
-        q_rule=q_rule if q_rule is not None else values.get("q-rule", "formula"),
-        q_value=q_value if q_value is not None else values.get("q"),
-        transfer_time=transfer_time,
-        engine=values["engine"],
-        apply_sigma_z=values["sigma-z"],
-    )
-
-
-def _time_sweep_spec(values) -> SweepSpec:
-    return SweepSpec(
-        kind="time",
-        grid=AxisGrid(values["grid-start"], values["grid-stop"], values["grid-points"]),
-        qubit=_qubit(values),
-        s_over_g=values["s-over-g"],
-        p_values=values["p"],
-        include_baseline=values["baseline"],
-    )
-
-
-def _decay_sweep_spec(values) -> SweepSpec:
-    return SweepSpec(
-        kind="decay",
-        grid=AxisGrid(
-            values["grid-start"],
-            values["grid-stop"],
-            values["grid-points"],
-            log=values["log-grid"],
-        ),
-        qubit=_qubit(values),
-        p_values=values["p"],
-        include_baseline=values["baseline"],
-        t_max=values["t-max"],
-        coarse_points=values["coarse-points"],
-    )
-
-
-def _dephasing_sweep_spec(values) -> SweepSpec:
-    return SweepSpec(
-        kind="dephasing",
-        grid=AxisGrid(values["grid-start"], values["grid-stop"], values["grid-points"]),
-        qubit=_qubit(values),
-        s_over_g=values["s-over-g"],
-        p=values["p"],
-        gamma_phi_over_g=values["gamma-phi-over-g"],
-        include_baseline=False,
-    )
-
-
-def _build_runtime(effective: str, values):
-    """Construct the runtime objects purely for validation side effects."""
-    if effective == "evolve":
-        _system_params(values)
-        AxisGrid(values["grid-start"], values["grid-stop"], values["grid-points"])
-        try:
-            apply_measurement_qubit1(initial_state(_qubit(values)), values["p"])
-        except ZeroProbability:
-            pass  # a numeric failure (exit 4), reported when the run starts
-    elif effective == "protocol":
-        spec = _protocol_spec(values)
-        values["gt"] = spec.transfer_time * spec.params.g_ref
-    elif effective == "optimize-q":
-        spec = _protocol_spec(values, q_rule="fixed", q_value=0.0)
-        values["gt"] = spec.transfer_time * spec.params.g_ref
-    elif effective == "fig2":
-        _time_sweep_spec(values)
-    elif effective == "fig3":
-        _decay_sweep_spec(values)
-    elif effective == "fig4":
-        _dephasing_sweep_spec(values)
-
-
-# ---------------------------------------------------------------------------
-# emission
-
-
-def _out_dir(values) -> Path:
-    directory = Path(values["output-dir"])
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
-def _emit_sweep(cfg: RunConfig, result, x_label: str, prefix: str) -> "list[Path]":
-    values = cfg.values
-    directory = _out_dir(values)
-    formats = values["formats"]
-    written = []
-    metric_columns = {m: result.columns(m) for m in ("fidelity", "success")}
-    if "csv" in formats:
-        for metric, columns in metric_columns.items():
-            path = directory / f"{prefix}_{metric}.csv"
-            write_csv(path, result.axis_name, result.axis_values, columns)
-            written.append(path)
-    if "json" in formats:
-        data = csv_mirror(result.axis_name, result.axis_values, {})
-        for columns in metric_columns.values():
-            data.update(csv_mirror(result.axis_name, result.axis_values, columns))
-        path = directory / f"{prefix}.json"
-        write_json(path, make_meta(__version__, cfg.command, cfg.meta_config()), data)
-        written.append(path)
-    if "svg" in formats:
-        for metric, columns in metric_columns.items():
-            series = {
-                name[len(metric) + 1 : -1]: col for name, col in columns.items()
-            }
-            content = svg_line_plot(
-                f"{prefix}: {metric}", x_label, metric, result.axis_values, series
-            )
-            path = directory / f"{prefix}_{metric}.svg"
-            write_svg(path, content)
-            written.append(path)
-    return written
-
-
-def _emit_record(cfg: RunConfig, record: "dict[str, float]", extra_data: dict, prefix: str) -> "list[Path]":
-    values = cfg.values
-    directory = _out_dir(values)
-    formats = values["formats"]
-    written = []
-    if "csv" in formats:
-        path = directory / f"{prefix}.csv"
-        write_record_csv(path, record)
-        written.append(path)
-    if "json" in formats:
-        data = {key: float(val) for key, val in record.items()}
-        data.update(extra_data)
-        path = directory / f"{prefix}.json"
-        write_json(path, make_meta(__version__, cfg.command, cfg.meta_config()), data)
-        written.append(path)
-    return written
-
-
-# ---------------------------------------------------------------------------
-# command runners
-
-
-_COHERENCES = (
-    ("ground_qubit1", GROUND, QUBIT1),
-    ("ground_photon", GROUND, PHOTON),
-    ("ground_qubit2", GROUND, QUBIT2),
-    ("qubit1_photon", QUBIT1, PHOTON),
-    ("qubit1_qubit2", QUBIT1, QUBIT2),
-    ("photon_qubit2", PHOTON, QUBIT2),
-)
-
-
-def _run_evolve(cfg: RunConfig) -> "list[Path]":
-    values = cfg.values
-    params = _system_params(values)
-    qubit = _qubit(values)
-    pre = apply_measurement_qubit1(initial_state(qubit), values["p"])
-    gts = np.linspace(values["grid-start"], values["grid-stop"], values["grid-points"])
-    states = integrate(params, pre.state, gts / params.g_ref).states
-
-    populations = {
-        "pop_ground": GROUND,
-        "pop_qubit1": QUBIT1,
-        "pop_photon": PHOTON,
-        "pop_qubit2": QUBIT2,
-    }
-    columns = {name: states[:, i, i].real for name, i in populations.items()}
-    for name, i, j in _COHERENCES:
-        columns[f"re_{name}"] = states[:, i, j].real
-        columns[f"im_{name}"] = states[:, i, j].imag
-
-    directory = _out_dir(values)
-    formats = values["formats"]
-    written = []
-    if "csv" in formats:
-        path = directory / "evolve_trajectory.csv"
-        write_csv(path, "gt", gts, columns)
-        written.append(path)
-    if "json" in formats:
-        path = directory / "evolve.json"
-        write_json(
-            path,
-            make_meta(__version__, cfg.command, cfg.meta_config()),
-            csv_mirror("gt", gts, columns),
-        )
-        written.append(path)
-    if "svg" in formats:
-        series = {name: columns[name] for name in populations}
-        path = directory / "evolve_populations.svg"
-        write_svg(path, svg_line_plot("evolve: populations", "gt", "population", gts, series))
-        written.append(path)
-    return written
-
-
-def _run_protocol(cfg: RunConfig) -> "list[Path]":
-    spec = _protocol_spec(cfg.values)
-    outcome = run_protocol(spec)
-    record = {
-        "fidelity": outcome.fidelity,
-        "q_used": outcome.q_used,
-        "premeasure_success": outcome.premeasure_success,
-        "reversal_success": outcome.reversal_success,
-        "success_probability": outcome.success_probability,
-        "gt": spec.transfer_time * spec.params.g_ref,
-    }
-    extra = {
-        "final_state_re": [[float(v) for v in row] for row in outcome.final_state.real],
-        "final_state_im": [[float(v) for v in row] for row in outcome.final_state.imag],
-    }
-    return _emit_record(cfg, record, extra, "protocol")
-
-
-def _run_optimize_q(cfg: RunConfig) -> "list[Path]":
-    values = cfg.values
-    spec = _protocol_spec(values, q_rule="fixed", q_value=0.0)
-    q_opt, f_opt = optimize_q(spec)
-    record = {
-        "q_opt": q_opt,
-        "fidelity_opt": f_opt,
-        "gt": spec.transfer_time * spec.params.g_ref,
-    }
-    if spec.params.equal_decay_rate() is not None:
-        formula_run = run_protocol(replace(spec, q_rule="formula"))
-        record["q_formula"] = formula_run.q_used
-        record["fidelity_formula"] = formula_run.fidelity
-    return _emit_record(cfg, record, {}, "optimize_q")
-
-
-def _sweep_prefix(cfg: RunConfig) -> str:
-    return "sweep" if cfg.command == "sweep" else cfg.command
-
-
-def _run_fig2(cfg: RunConfig) -> "list[Path]":
-    result = time_sweep(_time_sweep_spec(cfg.values))
-    return _emit_sweep(cfg, result, "gt", _sweep_prefix(cfg))
-
-
-def _run_fig3(cfg: RunConfig) -> "list[Path]":
-    result = decay_sweep(_decay_sweep_spec(cfg.values))
-    return _emit_sweep(cfg, result, "s/g", _sweep_prefix(cfg))
-
-
-def _run_fig4(cfg: RunConfig) -> "list[Path]":
-    result = dephasing_sweep(_dephasing_sweep_spec(cfg.values))
-    return _emit_sweep(cfg, result, "gt", _sweep_prefix(cfg))
-
-
-def _run_sweep(cfg: RunConfig) -> "list[Path]":
-    runner = {"time": _run_fig2, "decay": _run_fig3, "dephasing": _run_fig4}
-    return runner[cfg.values["kind"]](cfg)
-
-
-_RUNNERS = {
-    "evolve": _run_evolve,
-    "protocol": _run_protocol,
-    "optimize-q": _run_optimize_q,
-    "fig2": _run_fig2,
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "sweep": _run_sweep,
-}
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -720,7 +639,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return 3
 
     try:
-        written = _RUNNERS[cfg.command](cfg)
+        written = _emit(cfg, _COMMANDS[cfg.command].run(cfg))
     except (DegenerateReversal, ZeroProbability, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4

@@ -190,10 +190,11 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolOutcome:
     rho_t, pre_prob = _evolved_state(spec, t, scaled=formula)
     q = q_formula(spec.p, s, t) if formula else spec.q_value
     if spec.q_rule == "optimal":
-        q, _ = _best_reversal_strength(rho_t, spec)
+        rho_scaled = _scaled_state(spec)
+        q, _ = _best_reversal_strength(rho_t, rho_scaled, spec)
         formula = s is not None and q == q_formula(spec.p, s, t)
         if formula:
-            rho_t, _ = _evolved_state(spec, t, scaled=True)
+            rho_t = rho_scaled
     reversed_ = apply_reversal_qubit2(rho_t, spec.p if formula else q, spec.apply_sigma_z)
     reversal_success = reversed_.success_probability * (math.exp(-s * t) if formula else 1.0)
     return ProtocolOutcome(
@@ -220,16 +221,25 @@ def _real_roots(a2: float, a1: float, a0: float) -> list[float]:
     return [h / a2, a0 / h] if h != 0.0 else [0.0]
 
 
-def _best_reversal_strength(rho_t: np.ndarray, spec: ProtocolSpec) -> tuple[float, float]:
+def _scaled_state(spec: ProtocolSpec) -> np.ndarray | None:
+    """The scaled state just before the reversal with equal rates, else None."""
+    if spec.params.equal_decay_rate() is None:
+        return None
+    return _evolved_state(spec, spec.transfer_time, scaled=True)[0]
+
+
+def _best_reversal_strength(
+    rho_t: np.ndarray, rho_scaled: np.ndarray | None, spec: ProtocolSpec
+) -> tuple[float, float]:
     """Exact (q, fidelity) maximizing the fidelity of reversing rho_t.
 
     With x = sqrt(1 - q) the fidelity is (A x^2 + B x + D) / (E x^2 + R),
     E = trace - rho33 and R = rho33, whose stationary points are the roots
     of -B E x^2 + 2 (A R - D E) x + B R = 0.  The candidates are q = 0,
     q = 1 - 1e-9, the roots in between and, with equal rates, the
-    closed-form q, evaluated on the scaled state so that it stays exact as
-    q rounds to 1.  Ties within 1e-12 go to the smallest q, which has the
-    higher success probability.
+    closed-form q, evaluated on rho_scaled, the scaled state, so that it
+    stays exact as q rounds to 1.  Ties within 1e-12 go to the smallest q,
+    which has the higher success probability.
     """
     t = spec.transfer_time
     rho00, rho03, rho33, trace = _target_entries(rho_t)
@@ -243,11 +253,10 @@ def _best_reversal_strength(rho_t: np.ndarray, spec: ProtocolSpec) -> tuple[floa
         spec.qubit, rho00, rho03, rho33, trace, 1.0 - np.array(qs), spec.apply_sigma_z
     )
     candidates = list(zip(qs, fidelity.tolist()))
-    s = spec.params.equal_decay_rate()
-    if s is not None:
-        scaled = _target_entries(_evolved_state(spec, t, scaled=True)[0])
+    if rho_scaled is not None:
+        scaled = _target_entries(rho_scaled)
         f_formula, _ = reversal_outcome(spec.qubit, *scaled, 1.0 - spec.p, spec.apply_sigma_z)
-        candidates.append((q_formula(spec.p, s, t), float(f_formula)))
+        candidates.append((q_formula(spec.p, spec.params.equal_decay_rate(), t), float(f_formula)))
     return pick_best(candidates)
 
 
@@ -257,4 +266,4 @@ def optimize_q(spec: ProtocolSpec) -> tuple[float, float]:
     ignored.
     """
     rho_t, _ = _evolved_state(spec, spec.transfer_time)
-    return _best_reversal_strength(rho_t, spec)
+    return _best_reversal_strength(rho_t, _scaled_state(spec), spec)

@@ -9,7 +9,7 @@ dimensionless product g*t and rates are given relative to g.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +18,7 @@ from .core import QubitAmplitudes, SystemParams, initial_state
 from .lindblad import integrate
 from .measurement import apply_measurement_qubit1
 from .optimize import grid_then_golden_max_rows
-from .protocol import (
-    ProtocolSpec,
-    _target_entries,
-    full_transfer_time,
-    reversal_outcome,
-    run_protocol,
-)
+from .protocol import _target_entries, full_transfer_time, reversal_outcome
 
 BASELINE_LABEL = "baseline"
 
@@ -186,34 +180,6 @@ def _best_over_time(f, t_max: float, coarse_points: int, refine_tol: float):
     return grid_then_golden_max_rows(f, times, refine_tol, first_lo=float(times[0]) * 1e-6)
 
 
-def max_fidelity_over_time(
-    spec: ProtocolSpec,
-    t_max: float,
-    coarse_points: int = 120,
-    refine_tol: float | None = None,
-) -> tuple[float, float]:
-    """Best protocol fidelity over the reversal time in (0, t_max].
-
-    Coarse scan on a uniform grid, then golden-section refinement bracketed
-    by the best point's neighbours; the result never falls below the best
-    coarse sample.  Each time runs run_protocol, so any spec and engine can
-    be maximized.
-    """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if coarse_points < 100:
-        raise ValueError("coarse_points must be at least 100")
-    if refine_tol is None:
-        refine_tol = 1e-6 / spec.params.g_ref
-
-    fidelity = np.vectorize(
-        lambda t: run_protocol(replace(spec, transfer_time=float(t))).fidelity,
-        otypes=[float],
-    )
-    t_star, f_max = _best_over_time(fidelity, t_max, coarse_points, refine_tol)
-    return float(t_star[0]), float(f_max[0])
-
-
 def decay_sweep(spec: SweepSpec) -> SweepResult:
     """Best-over-time fidelity against the decay-to-coupling ratio s/g.
 
@@ -272,38 +238,3 @@ def dephasing_sweep(spec: SweepSpec) -> SweepResult:
         series[f"gphi={gamma_ratio:g}g"] = np.column_stack([fidelity, np.exp(-s * times) * success])
     return SweepResult("gt", times, series)
 
-
-def fig_time_spec() -> SweepSpec:
-    """Weak-coupling time sweep: g = 0.5 s, alpha = beta = 1/sqrt(2)."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return SweepSpec(
-        kind="time",
-        grid=AxisGrid(0.0, 6.0, 241),
-        qubit=QubitAmplitudes(inv_sqrt2, inv_sqrt2),
-        s_over_g=2.0,
-        p_values=(0.0, 0.4, 0.8),
-    )
-
-
-def fig_decay_spec() -> SweepSpec:
-    """Best-fidelity-vs-decay sweep: alpha = 0.6, beta = 0.8, s/g in [0.1, 20]."""
-    return SweepSpec(
-        kind="decay",
-        grid=AxisGrid(0.1, 20.0, 60, log=True),
-        qubit=QubitAmplitudes(0.6, 0.8),
-        p_values=(0.0, 0.4, 0.8),
-    )
-
-
-def fig_dephasing_spec() -> SweepSpec:
-    """Dephasing time sweep: p = 0.8, rates 0 to g, otherwise as the time sweep."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return SweepSpec(
-        kind="dephasing",
-        grid=AxisGrid(0.0, 6.0, 241),
-        qubit=QubitAmplitudes(inv_sqrt2, inv_sqrt2),
-        s_over_g=2.0,
-        p=0.8,
-        gamma_phi_over_g=(0.0, 0.01, 0.1, 1.0),
-        include_baseline=False,
-    )

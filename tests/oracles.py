@@ -1,13 +1,16 @@
 """Independent references that only the tests use.
 
 Each reaches a quantity the package computes by a different route: the
-master equation term by term instead of through the Liouvillian, and the
+master equation term by term instead of through the Liouvillian; the
 no-jump branch as a pure state propagated by scipy's matrix exponential of
 the effective non-Hermitian generator instead of the closed forms or the
-package's own propagator.
+package's own propagator; and the best fidelity over the reversal time
+with one run_protocol call per time instead of one array evaluation for a
+whole batch.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -25,7 +28,8 @@ from qstsim.core import (
     hamiltonian,
 )
 from qstsim.measurement import PAULI_X
-from qstsim.protocol import full_transfer_time
+from qstsim.protocol import ProtocolSpec, full_transfer_time, run_protocol
+from qstsim.sweeps import _best_over_time
 
 
 def _split_terms(terms: list[CollapseTerm]):
@@ -130,3 +134,31 @@ def nojump_protocol_oracle(
     )
     psi = SIGMA_Z2 @ (reversal @ psi)
     return -psi
+
+
+def max_fidelity_over_time(
+    spec: ProtocolSpec,
+    t_max: float,
+    coarse_points: int = 120,
+    refine_tol: float | None = None,
+) -> tuple[float, float]:
+    """Best protocol fidelity over the reversal time in (0, t_max].
+
+    Coarse scan on a uniform grid, then golden-section refinement bracketed
+    by the best point's neighbours; the result never falls below the best
+    coarse sample.  Each time runs run_protocol, so any spec and engine can
+    be maximized.
+    """
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+    if coarse_points < 100:
+        raise ValueError("coarse_points must be at least 100")
+    if refine_tol is None:
+        refine_tol = 1e-6 / spec.params.g_ref
+
+    fidelity = np.vectorize(
+        lambda t: run_protocol(replace(spec, transfer_time=float(t))).fidelity,
+        otypes=[float],
+    )
+    t_star, f_max = _best_over_time(fidelity, t_max, coarse_points, refine_tol)
+    return float(t_star[0]), float(f_max[0])

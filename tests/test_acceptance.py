@@ -28,22 +28,20 @@ from qstsim import (
     decay_sweep,
     dephasing_sweep,
     fidelity_to_target,
-    fig_decay_spec,
     full_transfer_time,
     initial_state,
     integrate,
     m0_operator,
     m1_operator,
-    max_fidelity_over_time,
     q_formula,
     reversal_operator,
     run_protocol,
     target_state,
     time_sweep,
 )
-from qstsim.cli import main as cli_main
+from qstsim.cli import main as cli_main, parse_config
 
-from oracles import nojump_protocol_oracle
+from oracles import max_fidelity_over_time, nojump_protocol_oracle
 
 SQRT2 = math.sqrt(2.0)
 BALANCED = QubitAmplitudes(1 / SQRT2, 1 / SQRT2)
@@ -103,7 +101,7 @@ def recovery_outcomes():
 
 @lru_cache(maxsize=None)
 def fig3_sweep():
-    spec = fig_decay_spec()
+    spec = parse_config(["fig3"]).spec
     started = time.perf_counter()
     result = decay_sweep(spec)
     elapsed = time.perf_counter() - started

@@ -10,6 +10,7 @@ import pytest
 
 import qstsim
 
+from qstsim import ProtocolSpec, SweepSpec
 from qstsim.cli import ValidationError, main, parse_config
 
 
@@ -124,6 +125,94 @@ def test_fig2_replay_is_byte_identical(tmp_path, capsys):
     assert run_cli(argv + ["--output-dir", str(second)]) == 0
     for name in ("fig2_fidelity.csv", "fig2_success.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--grid-points", "9", "--s-over-g", "0.3", "--p", "0.4"],
+        ["protocol", "--q-rule", "formula", "--p", "0.4", "--s-over-g", "0.5"],
+        ["protocol", "--q-rule", "fixed", "--q", "0.6", "--p", "0.3", "--s-over-g", "0.7"],
+        ["protocol", "--q-rule", "optimal", "--alpha", "0.6", "--beta", "0.8j", "--s-over-g", "0.8"],
+        ["optimize-q", "--engine", "numeric", "--gamma1-over-g", "0.5", "--p", "0.3", "--gt", "2"],
+        ["fig3", "--grid-points", "5"],
+        ["fig4", "--grid-points", "9"],
+        ["sweep", "--kind", "dephasing", "--grid-points", "9"],
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_every_command_replays_byte_identical(tmp_path, capsys, argv):
+    first = tmp_path / "first"
+    second = tmp_path / "second"
+    assert run_cli(argv + ["--output-dir", first]) == 0
+    (json_path,) = first.glob("*.json")
+    replay = replay_config(json_path, tmp_path / "replay.cfg")
+    assert run_cli(replay + ["--output-dir", second]) == 0
+    csvs = sorted(path.name for path in first.glob("*.csv"))
+    assert csvs
+    for name in csvs:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    configs = [json.loads((run / json_path.name).read_text())["meta"]["config"] for run in (first, second)]
+    for config in configs:
+        config.pop("output-dir")
+    assert configs[0] == configs[1]
+
+
+def _sweep_files(prefix):
+    return [f"{prefix}_fidelity.csv", f"{prefix}_success.csv", f"{prefix}.json",
+            f"{prefix}_fidelity.svg", f"{prefix}_success.svg"]
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        pytest.param(argv, files, id=argv[0])
+        for argv, files in (
+            (["evolve", "--grid-points", "5"], ["evolve_trajectory.csv", "evolve.json", "evolve_populations.svg"]),
+            (["protocol"], ["protocol.csv", "protocol.json"]),
+            (["optimize-q"], ["optimize_q.csv", "optimize_q.json"]),
+            (["fig2", "--grid-points", "5"], _sweep_files("fig2")),
+            (["fig3", "--grid-points", "3"], _sweep_files("fig3")),
+            (["fig4", "--grid-points", "5"], _sweep_files("fig4")),
+            (["sweep", "--kind", "time", "--grid-points", "5"], _sweep_files("sweep")),
+        )
+    ],
+)
+@pytest.mark.parametrize("formats", ["csv,json,svg", "svg,csv", "json", "csv,json"])
+def test_file_names_in_printed_order(tmp_path, capsys, argv, files, formats):
+    requested = formats.split(",")
+    expected = [name for name in files if name.rpartition(".")[2] in requested]
+    code = run_cli(argv + ["--formats", formats, "--output-dir", tmp_path])
+    if "svg" in requested and not any(name.endswith(".svg") for name in files):
+        assert code == 3  # protocol and optimize-q write no svg
+        return
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [str(tmp_path / name) for name in expected]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "argv, built_type",
+    [
+        (["protocol", "--q-rule", "optimal", "--s-over-g", "0.5"], ProtocolSpec),
+        (["optimize-q", "--engine", "numeric", "--gamma1-over-g", "0.5"], ProtocolSpec),
+        (["fig2", "--grid-points", "5"], SweepSpec),
+        (["fig3", "--grid-points", "3"], SweepSpec),
+        (["sweep", "--kind", "dephasing", "--grid-points", "5"], SweepSpec),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else value.__name__,
+)
+def test_one_run_builds_its_spec_once(monkeypatch, tmp_path, capsys, argv, built_type):
+    built = []
+    validate = built_type.__post_init__
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(built_type, "__post_init__", counted)
+    assert run_cli(argv + ["--output-dir", tmp_path]) == 0
+    assert len(built) == 1
 
 
 def test_json_meta_holds_resolved_config(tmp_path, capsys):

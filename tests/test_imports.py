@@ -1,5 +1,6 @@
-"""Every module-level import in the package and its tests is used, and the
-package never imports scipy.
+"""Every module-level import in the package and its tests is used, every
+module-level private name in the package is referenced by some package
+module, and the package never imports scipy.
 
 A small AST scan instead of a linter: a name bound by a top-level import
 counts as used when it appears anywhere in the module as a name (an
@@ -45,13 +46,18 @@ def _annotations(tree: ast.AST):
             yield node.annotation
 
 
-def _names(tree: ast.AST) -> "set[str]":
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _annotation_names(tree: ast.AST) -> "set[str]":
+    """Names inside string annotations."""
+    names = set()
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names |= _names(ast.parse(node.value, mode="eval"))
     return names
+
+
+def _names(tree: ast.AST) -> "set[str]":
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _annotation_names(tree)
 
 
 def _used_names(tree: ast.Module) -> "set[str]":
@@ -121,3 +127,62 @@ def test_checker_flags_every_scipy_import():
         "    return importlib.import_module('scipy.sparse'), __import__('scipy')\n"
     )
     assert scipy_imports(source) == [1, 4, 5, 6, 6]
+
+
+def _private_definitions(tree: ast.Module) -> "dict[str, int]":
+    """Module-level private names (one leading underscore) with their line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for target in nodes for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names.setdefault(name, node.lineno)
+    return names
+
+
+def _references(tree: ast.Module) -> "set[str]":
+    """Names a module reads: loaded names, attributes, imported names and
+    names inside string annotations."""
+    refs = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    refs |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    refs |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    return refs | _annotation_names(tree)
+
+
+def dead_private_names(sources: "dict[str, str]") -> "list[tuple[str, str, int]]":
+    """(module, name, line) of each module-level private name that no module
+    of ``sources`` (name -> source) references."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set().union(*(_references(tree) for tree in trees.values()))
+    return sorted(
+        (module, name, line)
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in referenced
+    )
+
+
+def test_package_has_no_dead_private_names():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert dead_private_names(sources) == []
+
+
+def test_checker_flags_a_dead_private_name():
+    sources = {
+        "a.py": (
+            "_USED = 1\n_DEAD, _ALSO_DEAD = 2, 3\n__version__ = '0'\n"
+            "def _helper():\n    return _USED\n"
+            "class _Unused:\n    pass\n"
+            "def public(x: '_Annotated') -> None:\n    return b._imported_elsewhere\n"
+        ),
+        "b.py": "from a import _helper\n_Annotated = int\ndef _imported_elsewhere():\n    pass\n",
+    }
+    assert dead_private_names(sources) == [
+        ("a.py", "_ALSO_DEAD", 2), ("a.py", "_DEAD", 2), ("a.py", "_Unused", 6),
+    ]

@@ -20,6 +20,7 @@ from qstsim import (
     run_protocol,
     target_state,
 )
+import qstsim.protocol as protocol_module
 from qstsim.protocol import _evolved_state, reversal_outcome
 
 from oracles import nojump_protocol_oracle
@@ -257,6 +258,33 @@ def test_optimal_q_rule_runs_through_protocol():
     outcome = run_protocol(spec)
     formula = run_protocol(replace(spec, q_rule="formula"))
     assert outcome.fidelity >= formula.fidelity - 1e-12
+
+
+@pytest.mark.parametrize("engine, evolve", [("analytic", "analytic_rho"), ("numeric", "integrate")])
+def test_optimal_rule_evolves_each_state_once(monkeypatch, engine, evolve):
+    # at s/g = 10 the closed-form q wins: the unscaled state gives the other
+    # candidates, the scaled one the closed-form candidate and the reversal
+    original = getattr(protocol_module, evolve)
+    scaled_flags = []
+
+    def counted(*args):
+        scaled_flags.append(args[-1])
+        return original(*args)
+
+    spec = ProtocolSpec(
+        qubit=QubitAmplitudes(0.6, 0.8), params=equal_rate_params(10.0), p=0.5,
+        q_rule="optimal", engine=engine,
+    )
+    formula = run_protocol(replace(spec, q_rule="formula"))
+    monkeypatch.setattr(protocol_module, evolve, counted)
+    outcome = run_protocol(spec)
+    assert sorted(scaled_flags) == [False, True]
+    assert outcome.q_used == formula.q_used
+    assert outcome.fidelity == formula.fidelity
+    assert outcome.reversal_success == formula.reversal_success
+    scaled_flags.clear()
+    optimize_q(spec)
+    assert sorted(scaled_flags) == [False, True]
 
 
 def test_nojump_oracle_matches_hand_amplitudes():

@@ -14,15 +14,14 @@ from qstsim import (
     SystemParams,
     decay_sweep,
     dephasing_sweep,
-    fig_decay_spec,
-    fig_dephasing_spec,
-    fig_time_spec,
     full_transfer_time,
-    max_fidelity_over_time,
     run_protocol,
     time_sweep,
 )
+from qstsim.cli import parse_config
 from qstsim.sweeps import closed_form_outcome
+
+from oracles import max_fidelity_over_time
 
 BALANCED = QubitAmplitudes(1 / math.sqrt(2), 1 / math.sqrt(2))
 
@@ -256,9 +255,12 @@ def test_decay_sweep_grid_independence():
 
 
 def test_preset_specs():
-    assert fig_time_spec().grid.points == 241
-    assert fig_decay_spec().grid.log
-    assert fig_dephasing_spec().gamma_phi_over_g == (0.0, 0.01, 0.1, 1.0)
+    # the default fig2/fig3/fig4 commands build the paper's presets
+    assert parse_config(["fig2"]).spec.grid == AxisGrid(0.0, 6.0, 241)
+    assert parse_config(["fig3"]).spec.grid == AxisGrid(0.1, 20.0, 60, log=True)
+    assert parse_config(["fig3"]).spec.qubit == QubitAmplitudes(0.6, 0.8)
+    fig4 = parse_config(["fig4"]).spec
+    assert (fig4.p, fig4.gamma_phi_over_g, fig4.include_baseline) == (0.8, (0.0, 0.01, 0.1, 1.0), False)
 
 
 def test_kind_mismatch_rejected():
