@@ -18,13 +18,11 @@ from .core import (
     collapse_operators,
     embed_qubit2_op,
     hamiltonian,
-    hermiticity_defect,
     initial_state,
     physicality_violations,
-    smallest_eigenvalue,
     target_state,
 )
-from .lindblad import Trajectory, integrate, liouvillian
+from .lindblad import integrate, liouvillian
 from .measurement import (
     DegenerateReversal,
     PostSelectedState,
@@ -73,7 +71,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "SystemParams",
-    "Trajectory",
     "ZeroProbability",
     "analytic_rho",
     "apply_measurement_qubit1",
@@ -85,7 +82,6 @@ __all__ = [
     "fidelity_to_target",
     "full_transfer_time",
     "hamiltonian",
-    "hermiticity_defect",
     "initial_state",
     "integrate",
     "liouvillian",
@@ -96,7 +92,6 @@ __all__ = [
     "q_formula",
     "reversal_operator",
     "run_protocol",
-    "smallest_eigenvalue",
     "target_state",
     "time_sweep",
     "transfer_amplitudes",

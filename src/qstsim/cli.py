@@ -50,7 +50,8 @@ from .output import (
     write_record_csv,
     write_svg,
 )
-from .protocol import ProtocolSpec, full_transfer_time, optimize_q, run_protocol
+from .optimize import pick_best
+from .protocol import ProtocolSpec, _candidates, full_transfer_time, run_protocol
 from .sweeps import (
     AxisGrid,
     SweepSpec,
@@ -232,10 +233,8 @@ def _build_evolve(values) -> "tuple[SystemParams, QubitAmplitudes, AxisGrid]":
     params = _system_params(values)
     grid = AxisGrid(values["grid-start"], values["grid-stop"], values["grid-points"])
     qubit = _qubit(values)
-    try:
-        apply_measurement_qubit1(initial_state(qubit), values["p"])
-    except ZeroProbability:
-        pass  # a numeric failure (exit 4), reported when the run starts
+    if not 0.0 <= values["p"] < 1.0:  # the run measures: an empty branch is exit 4
+        raise ValueError("measurement strength p must lie in [0, 1)")
     return params, qubit, grid
 
 
@@ -319,7 +318,7 @@ def _run_evolve(cfg: RunConfig) -> dict:
     params, qubit, grid = cfg.spec
     pre = apply_measurement_qubit1(initial_state(qubit), cfg.values["p"])
     gts = grid.values()
-    states = integrate(params, pre.state, gts / params.g_ref).states
+    states = integrate(params, pre.state, gts / params.g_ref)
     series = {f"pop_{name}": states[:, i, i].real for name, i in _LEVELS.items()}
     columns = dict(series)
     for (a, i), (b, j) in itertools.combinations(_LEVELS.items(), 2):
@@ -350,13 +349,11 @@ def _run_protocol(cfg: RunConfig) -> dict:
 
 
 def _run_optimize_q(cfg: RunConfig) -> dict:
-    spec = cfg.spec
-    q_opt, f_opt = optimize_q(spec)
+    candidates, _ = _candidates(cfg.spec, "optimal")
+    q_opt, f_opt = pick_best(candidates)[:2]
     record = {"q_opt": q_opt, "fidelity_opt": f_opt, "gt": cfg.values["gt"]}
-    if spec.params.equal_decay_rate() is not None:
-        formula_run = run_protocol(replace(spec, q_rule="formula"))
-        record["q_formula"] = formula_run.q_used
-        record["fidelity_formula"] = formula_run.fidelity
+    if cfg.spec.params.equal_decay_rate() is not None:  # the closed-form q comes last
+        record["q_formula"], record["fidelity_formula"] = candidates[-1][:2]
     return _record_files(cfg, "optimize_q", record)
 
 

@@ -8,25 +8,9 @@ the numpy scaling-and-squaring Pade propagator :func:`expm_stack`, so the
 cost does not depend on how stiff the rates are and only numpy is needed.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import DIM, SystemParams, collapse_operators, hamiltonian
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled states of one integration: times[i] goes with states[i]."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
 
 
 # b_0..b_13 of the degree-13 Pade approximant to exp, and the 1-norm
@@ -94,8 +78,10 @@ def integrate(
     rho0: np.ndarray,
     sample_times: "list[float] | np.ndarray",
     scaled: bool = False,
-) -> Trajectory:
-    """The exact state at each sample time, starting from rho0 at t = 0.
+) -> np.ndarray:
+    """The exact state at each sample time, starting from rho0 at t = 0: a
+    stack of shape (len(sample_times), 4, 4), whose i-th state is the one
+    at sample_times[i].
 
     sample_times must be finite, non-negative and strictly increasing; a
     sample at t = 0 is rho0.  Every jump lands in the ground state and
@@ -158,4 +144,4 @@ def integrate(
     bad = ~np.isfinite(states).all(axis=(1, 2))
     if bad.any():
         raise FloatingPointError(f"state is not finite at t = {samples[bad.argmax()]:.6g}")
-    return Trajectory(times=samples, states=states)
+    return states

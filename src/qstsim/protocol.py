@@ -159,8 +159,9 @@ class ProtocolOutcome:
     success_probability: float
 
 
-def _evolved_state(spec: ProtocolSpec, t: float, scaled: bool = False) -> tuple[np.ndarray, float]:
-    """State just before the reversal, and the pre-measurement probability.
+def _evolved_state(spec: ProtocolSpec, times, scaled: bool = False) -> tuple[np.ndarray, float]:
+    """States just before the reversal at each of the times, shape (n, 4, 4),
+    from either engine, and the pre-measurement probability.
 
     With scaled, the qubit-2 row and column are multiplied by e^{st/2} (see
     analytic_rho); this needs equal decay rates.
@@ -169,42 +170,25 @@ def _evolved_state(spec: ProtocolSpec, t: float, scaled: bool = False) -> tuple[
     params = spec.params
     if spec.engine == "analytic":
         rho = analytic_rho(
-            spec.qubit, spec.p, params.equal_decay_rate(), t, params.g1, params.g2, scaled
+            spec.qubit, spec.p, params.equal_decay_rate(), times, params.g1, params.g2, scaled
         )
     else:
-        rho = integrate(params, pre.state, [t], scaled).states[-1]
+        rho = integrate(params, pre.state, times, scaled)
     return rho, pre.success_probability
 
 
-def run_protocol(spec: ProtocolSpec) -> ProtocolOutcome:
-    """Run the full pipeline and report fidelity and success probabilities.
-
-    The closed-form q = 1 - (1-p) e^{-st}, whether the formula rule or the
-    optimum picks it, is applied as the reversal with q = p of the scaled
-    state, whose success probability is e^{st} times larger: the same
-    channel, with nothing left to underflow as e^{-st} goes to 0.
+def _closed_form_rule(qubit: QubitAmplitudes, entries, p, decay, apply_sigma_z, formula=True):
+    """Fidelity and reversal success of the closed-form q = 1 - (1-p) e^{-st}
+    from the _target_entries of the scaled state (see analytic_rho): the
+    reversal with q = p, whose success is multiplied by decay = e^{-st}, so
+    nothing underflows as e^{-st} goes to 0.  Where formula is false the
+    entries are of the unscaled state, reversed with q = 0.  The arguments
+    after the qubit broadcast.
     """
-    t = spec.transfer_time
-    s = spec.params.equal_decay_rate()
-    formula = spec.q_rule == "formula"
-    rho_t, pre_prob = _evolved_state(spec, t, scaled=formula)
-    q = q_formula(spec.p, s, t) if formula else spec.q_value
-    if spec.q_rule == "optimal":
-        rho_scaled = _scaled_state(spec)
-        q, _ = _best_reversal_strength(rho_t, rho_scaled, spec)
-        formula = s is not None and q == q_formula(spec.p, s, t)
-        if formula:
-            rho_t = rho_scaled
-    reversed_ = apply_reversal_qubit2(rho_t, spec.p if formula else q, spec.apply_sigma_z)
-    reversal_success = reversed_.success_probability * (math.exp(-s * t) if formula else 1.0)
-    return ProtocolOutcome(
-        fidelity=fidelity_to_target(reversed_.state, spec.qubit),
-        q_used=q,
-        final_state=reversed_.state,
-        premeasure_success=pre_prob,
-        reversal_success=reversal_success,
-        success_probability=pre_prob * reversal_success,
+    fidelity, success = reversal_outcome(
+        qubit, *entries, np.where(formula, 1.0 - np.asarray(p), 1.0), apply_sigma_z
     )
+    return fidelity, np.where(formula, decay, 1.0) * success
 
 
 _Q_MAX = 1.0 - 1e-9  # the strongest reversal the optimum may use, bar the closed form
@@ -221,49 +205,70 @@ def _real_roots(a2: float, a1: float, a0: float) -> list[float]:
     return [h / a2, a0 / h] if h != 0.0 else [0.0]
 
 
-def _scaled_state(spec: ProtocolSpec) -> np.ndarray | None:
-    """The scaled state just before the reversal with equal rates, else None."""
-    if spec.params.equal_decay_rate() is None:
-        return None
-    return _evolved_state(spec, spec.transfer_time, scaled=True)[0]
+def _candidates(spec: ProtocolSpec, q_rule: str) -> tuple[list[tuple], float]:
+    """The candidate reversal strengths of q_rule, each scored by
+    reversal_outcome, and the pre-measurement probability.
 
-
-def _best_reversal_strength(
-    rho_t: np.ndarray, rho_scaled: np.ndarray | None, spec: ProtocolSpec
-) -> tuple[float, float]:
-    """Exact (q, fidelity) maximizing the fidelity of reversing rho_t.
-
-    With x = sqrt(1 - q) the fidelity is (A x^2 + B x + D) / (E x^2 + R),
-    E = trace - rho33 and R = rho33, whose stationary points are the roots
-    of -B E x^2 + 2 (A R - D E) x + B R = 0.  The candidates are q = 0,
-    q = 1 - 1e-9, the roots in between and, with equal rates, the
-    closed-form q, evaluated on rho_scaled, the scaled state, so that it
-    stays exact as q rounds to 1.  Ties within 1e-12 go to the smallest q,
-    which has the higher success probability.
+    A candidate is (q, fidelity, reversal success, state, strength); its
+    reversal is apply_reversal_qubit2(state, strength).  formula: the
+    closed-form q, on the scaled state with strength p (see
+    _closed_form_rule).  fixed: q_value.  optimal: q = 0, _Q_MAX, the
+    stationary points in between and, with equal rates, the closed-form q,
+    last.  With x = sqrt(1 - q) the fidelity is (A x^2 + B x + D) /
+    (E x^2 + R), E = trace - rho33 and R = rho33, whose stationary points
+    are the roots of -B E x^2 + 2 (A R - D E) x + B R = 0.
     """
     t = spec.transfer_time
-    rho00, rho03, rho33, trace = _target_entries(rho_t)
-    coefficients = _overlap_coefficients(spec.qubit, rho00, rho03, rho33, spec.apply_sigma_z)
-    # Python floats: a root far outside (0, 1) overflows to inf quietly
-    a, b, d, e, r = map(float, (*coefficients, trace - rho33, rho33))
-    roots = _real_roots(-b * e, 2.0 * (a * r - d * e), b * r)
-    qs = [0.0, _Q_MAX]
-    qs += [q for q in (1.0 - x * x for x in roots if x > 0.0) if 0.0 < q <= _Q_MAX]
-    fidelity, _ = reversal_outcome(
-        spec.qubit, rho00, rho03, rho33, trace, 1.0 - np.array(qs), spec.apply_sigma_z
+    s = spec.params.equal_decay_rate()
+    candidates = []
+    if q_rule != "formula":
+        (rho,), pre_prob = _evolved_state(spec, [t])
+        entries = _target_entries(rho)
+        qs = [spec.q_value]
+        if q_rule == "optimal":
+            rho00, rho03, rho33, trace = entries
+            coefficients = _overlap_coefficients(spec.qubit, rho00, rho03, rho33, spec.apply_sigma_z)
+            # Python floats: a root far outside (0, 1) overflows to inf quietly
+            a, b, d, e, r = map(float, (*coefficients, trace - rho33, rho33))
+            roots = _real_roots(-b * e, 2.0 * (a * r - d * e), b * r)
+            qs = [0.0, _Q_MAX]
+            qs += [q for q in (1.0 - x * x for x in roots if x > 0.0) if 0.0 < q <= _Q_MAX]
+        fidelity, success = reversal_outcome(
+            spec.qubit, *entries, 1.0 - np.array(qs), spec.apply_sigma_z
+        )
+        for q, f, kept in zip(qs, fidelity.tolist(), success.tolist()):
+            candidates.append((q, f, kept, rho, q))
+    if q_rule == "formula" or (q_rule == "optimal" and s is not None):
+        (rho,), pre_prob = _evolved_state(spec, [t], scaled=True)
+        fidelity, success = _closed_form_rule(
+            spec.qubit, _target_entries(rho), spec.p, math.exp(-s * t), spec.apply_sigma_z
+        )
+        candidates.append((q_formula(spec.p, s, t), float(fidelity), float(success), rho, spec.p))
+    return candidates, pre_prob
+
+
+def run_protocol(spec: ProtocolSpec) -> ProtocolOutcome:
+    """Run the full pipeline and report fidelity and success probabilities.
+
+    Reports the fidelity and reversal success of the best candidate of
+    spec.q_rule (see _candidates); ties within 1e-12 go to the smallest q,
+    which has the higher success probability.  The final state is that
+    candidate's reversal.
+    """
+    candidates, pre_prob = _candidates(spec, spec.q_rule)
+    q, fidelity, reversal_success, rho, strength = pick_best(candidates)
+    return ProtocolOutcome(
+        fidelity=fidelity,
+        q_used=q,
+        final_state=apply_reversal_qubit2(rho, strength, spec.apply_sigma_z).state,
+        premeasure_success=pre_prob,
+        reversal_success=reversal_success,
+        success_probability=pre_prob * reversal_success,
     )
-    candidates = list(zip(qs, fidelity.tolist()))
-    if rho_scaled is not None:
-        scaled = _target_entries(rho_scaled)
-        f_formula, _ = reversal_outcome(spec.qubit, *scaled, 1.0 - spec.p, spec.apply_sigma_z)
-        candidates.append((q_formula(spec.p, spec.params.equal_decay_rate(), t), float(f_formula)))
-    return pick_best(candidates)
 
 
 def optimize_q(spec: ProtocolSpec) -> tuple[float, float]:
     """Exact fidelity-maximizing reversal strength at the given time, and
-    its fidelity (see _best_reversal_strength); any q_rule on the spec is
-    ignored.
+    its fidelity (see _candidates); any q_rule on the spec is ignored.
     """
-    rho_t, _ = _evolved_state(spec, spec.transfer_time)
-    return _best_reversal_strength(rho_t, _scaled_state(spec), spec)
+    return pick_best(_candidates(spec, "optimal")[0])[:2]

@@ -14,11 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import closed_form_factors
-from .core import QubitAmplitudes, SystemParams, initial_state
-from .lindblad import integrate
-from .measurement import apply_measurement_qubit1
+from .core import QubitAmplitudes, SystemParams
 from .optimize import grid_then_golden_max_rows
-from .protocol import _target_entries, full_transfer_time, reversal_outcome
+from .protocol import (
+    ProtocolSpec,
+    _closed_form_rule,
+    _evolved_state,
+    _target_entries,
+    full_transfer_time,
+)
 
 BASELINE_LABEL = "baseline"
 
@@ -75,16 +79,16 @@ class SweepSpec:
         if self.kind not in ("time", "decay", "dephasing"):
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if not self.s_over_g >= 0:
-            raise ValueError("s_over_g must be non-negative")
+            raise ValueError("s-over-g must be non-negative")
         for p in (*self.p_values, self.p):
             if not 0.0 <= p < 1.0:
                 raise ValueError(f"measurement strength p={p!r} must lie in [0, 1)")
         if not all(rate >= 0 for rate in self.gamma_phi_over_g):
-            raise ValueError("dephasing rates must be non-negative")
+            raise ValueError("gamma-phi-over-g must be non-negative")
         if self.t_max is not None and not self.t_max > 0:
             raise ValueError("t-max must be positive")
         if self.coarse_points < 100:
-            raise ValueError("coarse_points must be at least 100")
+            raise ValueError("coarse-points must be at least 100")
 
 
 @dataclass(eq=False)
@@ -133,10 +137,7 @@ def closed_form_outcome(
     unmeasured baseline when p = 0).  Agrees with run_protocol on the
     analytic engine point by point, but forms only what the target state
     sees: rho00, rho03, rho33 and the trace, each an array of the broadcast
-    shape, which reversal_outcome turns into fidelity and success.
-
-    The closed-form rule is the reversal with q = p of the scaled state
-    (see analytic_rho), whose success is multiplied by e^{-st}; so the
+    shape, which _closed_form_rule turns into fidelity and success; so the
     fidelity stays finite as e^{-st} underflows and only the success goes
     to 0.  A value that is still not finite raises FloatingPointError.
     """
@@ -145,11 +146,7 @@ def closed_form_outcome(
     rho33 = b * d3 * d3
     # qubit 1 and photon: the undamped sum on the time axis, then the decay
     trace = rho00 + b * (c2 * c2 + ic3 * ic3) * decay + rho33
-    fidelity, success = reversal_outcome(
-        qubit, rho00, k * d3, rho33, trace, np.where(formula, 1.0 - np.asarray(p), 1.0),
-        apply_sigma_z,
-    )
-    return fidelity, np.where(formula, decay, 1.0) * success
+    return _closed_form_rule(qubit, (rho00, k * d3, rho33, trace), p, decay, apply_sigma_z, formula)
 
 
 def time_sweep(spec: SweepSpec) -> SweepResult:
@@ -216,25 +213,21 @@ def dephasing_sweep(spec: SweepSpec) -> SweepResult:
 
     Dephasing breaks the closed-form solution, so each series integrates the
     master equation once from the post-measurement state and reverses the
-    whole trajectory in one array evaluation, as the closed-form rule does:
-    the scaled state (see integrate), then the reversal with q = p, whose
-    success is multiplied by e^{-st}.
+    whole trajectory in one array evaluation with the closed-form rule (see
+    _closed_form_rule).
     """
     if spec.kind != "dephasing":
         raise ValueError("spec.kind must be 'dephasing'")
     times = spec.grid.values()
     s = spec.s_over_g
-    pre = apply_measurement_qubit1(initial_state(spec.qubit), spec.p)
-
     series = {}
     for gamma_ratio in spec.gamma_phi_over_g:
-        params = SystemParams(
-            g1=1.0, g2=1.0, kappa=s, gamma1=s, gamma2=s, gamma_phi=float(gamma_ratio)
+        params = SystemParams(1.0, 1.0, s, s, s, gamma_phi=float(gamma_ratio))
+        protocol = ProtocolSpec(spec.qubit, params, spec.p, engine="numeric")
+        states, _ = _evolved_state(protocol, times, scaled=True)
+        fidelity, success = _closed_form_rule(
+            spec.qubit, _target_entries(states), spec.p, np.exp(-s * times), spec.apply_sigma_z
         )
-        states = integrate(params, pre.state, times, scaled=True).states
-        fidelity, success = reversal_outcome(
-            spec.qubit, *_target_entries(states), 1.0 - spec.p, spec.apply_sigma_z
-        )
-        series[f"gphi={gamma_ratio:g}g"] = np.column_stack([fidelity, np.exp(-s * times) * success])
+        series[f"gphi={gamma_ratio:g}g"] = np.column_stack([fidelity, success])
     return SweepResult("gt", times, series)
 

@@ -79,9 +79,9 @@ def equal_rates_benchmark():
     elapsed = time.perf_counter() - started
     worst = max(
         float(np.max(np.abs(a - n)))
-        for a, n in zip(analytic_states, trajectory.states)
+        for a, n in zip(analytic_states, trajectory)
     )
-    log_states(pre.state, *trajectory.states, *analytic_states)
+    log_states(pre.state, *trajectory, *analytic_states)
     return worst, elapsed
 
 
@@ -139,7 +139,7 @@ def dephasing_curves():
     q = q_formula(0.8, 2.0, T_STAR)
     for gamma_phi in (0.0, 0.01, 0.1, 1.0):
         params = equal_rate_params(2.0, gamma_phi=gamma_phi)
-        evolved = integrate(params, pre.state, [T_STAR]).states[-1]
+        evolved = integrate(params, pre.state, [T_STAR])[-1]
         kept = apply_reversal_qubit2(evolved, q)
         at_transfer.append(fidelity_to_target(kept.state, BALANCED))
         log_states(evolved, kept.state)

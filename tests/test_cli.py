@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import qstsim
+import qstsim.cli as cli_module
+import qstsim.protocol as protocol_module
 
 from qstsim import ProtocolSpec, SweepSpec
 from qstsim.cli import ValidationError, main, parse_config
@@ -281,6 +283,41 @@ def test_evolve_conserves_trace(tmp_path, capsys):
         assert abs(sum(cells[i] for i in pops) - 1.0) < 1e-9
 
 
+def test_evolve_measures_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    measure = cli_module.apply_measurement_qubit1
+
+    def counted(*args):
+        calls.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(cli_module, "apply_measurement_qubit1", counted)
+    assert run_cli(["evolve", "--p", "0.5", "--grid-points", "5", "--output-dir", tmp_path]) == 0
+    assert len(calls) == 1
+    # a branch with no weight is still a numeric failure, found by that one measurement
+    argv = ["evolve", "--alpha", "0", "--beta", "1", "--p", "0.9999999999999999"]
+    assert run_cli(argv + ["--output-dir", tmp_path]) == 4
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("engine, evolve", [("analytic", "analytic_rho"), ("numeric", "integrate")])
+def test_optimize_q_evolves_each_state_once(monkeypatch, tmp_path, capsys, engine, evolve):
+    # the closed-form q and its fidelity come from the optimum's own candidates
+    original = getattr(protocol_module, evolve)
+    scaled_flags = []
+
+    def counted(*args):
+        scaled_flags.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(protocol_module, evolve, counted)
+    argv = ["optimize-q", "--engine", engine, "--s-over-g", "0.5", "--output-dir", tmp_path]
+    assert run_cli(argv) == 0
+    assert sorted(scaled_flags) == [False, True]
+    header = (tmp_path / "optimize_q.csv").read_text().splitlines()[0]
+    assert header == "q_opt,fidelity_opt,gt,q_formula,fidelity_formula"
+
+
 def test_import_leaves_scipy_unloaded(tmp_path):
     # no command needs scipy, the numeric engine included
     env = dict(os.environ, PYTHONPATH=str(Path(qstsim.__file__).resolve().parents[1]))
@@ -407,6 +444,12 @@ def test_fig4_under_strong_decay(tmp_path, capsys):
         (["protocol", "--formats", "csv,svg"], "formats"),
         (["optimize-q", "--formats", ","], "formats"),
         (["protocol", "--engine", "numeric", "--gamma1-over-g", "0.5"], "q-rule 'formula'"),
+        (["fig3", "--coarse-points", "50"], "coarse-points"),
+        (["sweep", "--kind", "decay", "--coarse-points", "5"], "coarse-points"),
+        (["fig2", "--s-over-g", "-1"], "s-over-g"),
+        (["sweep", "--kind", "dephasing", "--s-over-g", "-2"], "s-over-g"),
+        (["fig4", "--gamma-phi-over-g", "0,-1"], "gamma-phi-over-g"),
+        (["sweep", "--kind", "dephasing", "--gamma-phi-over-g", "-1"], "gamma-phi-over-g"),
     ],
 )
 def test_invalid_ranges_name_their_key(tmp_path, capsys, flags, key):

@@ -73,7 +73,7 @@ def test_closed_system_preserves_purity():
     params = SystemParams(1.0, 1.0)
     pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.0)
     traj = integrate(params, pre.state, np.linspace(0.5, 20.0, 40))
-    for state in traj.states:
+    for state in traj:
         purity = np.trace(state @ state).real
         assert abs(purity - 1.0) < 1e-8
 
@@ -85,7 +85,7 @@ def test_matches_closed_forms_for_equal_rates():
     traj = integrate(params, pre.state, times)
     worst = max(
         np.max(np.abs(analytic_rho(QubitAmplitudes(0.6, 0.8), 0.5, 0.5, t) - state))
-        for t, state in zip(traj.times, traj.states)
+        for t, state in zip(times, traj)
     )
     assert worst < 1e-7
 
@@ -96,14 +96,14 @@ def test_decay_reaches_ground():
     traj = integrate(params, pre.state, [1000.0])
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 1.0
-    np.testing.assert_allclose(traj.states[-1], expected, atol=1e-6)
+    np.testing.assert_allclose(traj[-1], expected, atol=1e-6)
 
 
 def test_trace_and_positivity_along_trajectory():
     params = SystemParams(1.0, 1.0, kappa=0.7, gamma1=0.1, gamma2=0.4, gamma_phi=0.2)
     pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.3)
     traj = integrate(params, pre.state, np.linspace(0.25, 12.0, 30))
-    for state in traj.states:
+    for state in traj:
         assert abs(np.trace(state).real - 1.0) < 1e-9
         assert np.array_equal(state, state.conj().T)  # symmetrized exactly
         assert np.linalg.eigvalsh(state)[0] > -1e-8
@@ -117,7 +117,7 @@ def test_dephasing_suppresses_ground_qubit2_coherence():
         params = SystemParams(1.0, 1.0, kappa=0.5, gamma1=0.5, gamma2=0.5,
                               gamma_phi=gamma_phi)
         traj = integrate(params, pre.state, [2.0])
-        magnitudes.append(abs(traj.states[-1][0, 3]))
+        magnitudes.append(abs(traj[-1][0, 3]))
     assert np.all(np.diff(magnitudes) <= 1e-12)
 
 
@@ -154,9 +154,9 @@ def test_propagation_composes():
     params = SystemParams(1.0, 0.6, kappa=0.9, gamma1=0.2, gamma2=0.4, gamma_phi=0.3)
     pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8j)), 0.4)
     t1, t2 = 0.7, 1.9
-    direct = integrate(params, pre.state, [t1 + t2]).states[-1]
-    middle = integrate(params, pre.state, [t1]).states[-1]
-    composed = integrate(params, middle, [t2]).states[-1]
+    direct = integrate(params, pre.state, [t1 + t2])[-1]
+    middle = integrate(params, pre.state, [t1])[-1]
+    composed = integrate(params, middle, [t2])[-1]
     np.testing.assert_allclose(direct, composed, atol=1e-13)
 
 
@@ -164,14 +164,14 @@ def test_zero_time_sample_is_the_initial_state():
     params = SystemParams(1.0, 1.0, kappa=0.5, gamma1=0.5, gamma2=0.5)
     pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.5)
     traj = integrate(params, pre.state, [0.0, 1.0])
-    np.testing.assert_array_equal(traj.states[0], 0.5 * (pre.state + pre.state.conj().T))
+    np.testing.assert_array_equal(traj[0], 0.5 * (pre.state + pre.state.conj().T))
 
 
 def test_stiff_dephasing_stays_physical():
     params = SystemParams(1.0, 1.0, kappa=2.0, gamma1=2.0, gamma2=2.0, gamma_phi=1e6)
     pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.8)
     traj = integrate(params, pre.state, np.linspace(0.0, 6.0, 241))
-    for state in traj.states:
+    for state in traj:
         assert physicality_violations(state) == []
 
 
@@ -268,7 +268,7 @@ _amplitudes = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
 def test_scaled_state_matches_the_closed_form(qubit, p, s, t, g1, g2):
     # the qubit-2 row and column carry e^{st/2}: finite where e^{-st} underflows
     pre = apply_measurement_qubit1(initial_state(qubit), p)
-    numeric = integrate(SystemParams(g1, g2, s, s, s), pre.state, [t], scaled=True).states[-1]
+    numeric = integrate(SystemParams(g1, g2, s, s, s), pre.state, [t], scaled=True)[-1]
     expected = analytic_rho(qubit, p, s, t, g1, g2, scaled=True)
     np.testing.assert_allclose(numeric, expected, rtol=0, atol=1e-12)
 

@@ -323,15 +323,6 @@ def test_nojump_oracle_rejects_other_times():
         nojump_protocol_oracle(BALANCED, p=0.1, s=0.5, g=1.0, t=1.0)
 
 
-def test_fidelity_to_target_invariant():
-    spec = ProtocolSpec(
-        qubit=QubitAmplitudes(0.6, 0.8), params=equal_rate_params(0.7), p=0.4
-    )
-    outcome = run_protocol(spec)
-    recomputed = fidelity_to_target(outcome.final_state, spec.qubit)
-    assert abs(outcome.fidelity - recomputed) < 1e-12
-
-
 _amplitudes = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
     lambda ap: QubitAmplitudes(ap[0], math.sqrt(1.0 - ap[0] ** 2) * cmath.exp(1j * ap[1]))
 )
@@ -402,6 +393,38 @@ def _optimize_specs(draw):
     )
 
 
+@st.composite
+def _protocol_specs(draw):
+    """Every q-rule on both engines, either sigma_z setting; unequal rates
+    and dephasing where the rule allows them, and decay strong enough for
+    e^{-st} to underflow."""
+    q_rule = draw(st.sampled_from(["formula", "fixed", "optimal"]))
+    engine = draw(st.sampled_from(["analytic", "numeric"]))
+    s = draw(_rates | st.floats(3.0, 1000.0))
+    params = SystemParams(1.0, 1.0, s, s, s)
+    if engine == "numeric" and q_rule != "formula" and draw(st.booleans()):
+        params = SystemParams(1.0, 1.0, s, draw(_rates), draw(_rates), gamma_phi=draw(_rates))
+    return ProtocolSpec(
+        qubit=draw(_amplitudes),
+        params=params,
+        p=draw(st.floats(0.0, 0.95)),
+        q_rule=q_rule,
+        q_value=draw(st.floats(0.0, 0.999)),
+        transfer_time=draw(st.floats(0.05, 6.0)),
+        engine=engine,
+        apply_sigma_z=draw(st.booleans()),
+    )
+
+
+# the reported fidelity comes from reversal_outcome, the final state from
+# the reversal channel; they must describe the same run
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=_protocol_specs())
+def test_fidelity_to_target_invariant(spec):
+    outcome = run_protocol(spec)
+    assert abs(outcome.fidelity - fidelity_to_target(outcome.final_state, spec.qubit)) <= 1e-12
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(spec=_optimize_specs())
 def test_optimize_q_beats_a_dense_grid(spec):
@@ -409,7 +432,7 @@ def test_optimize_q_beats_a_dense_grid(spec):
     s = spec.params.equal_decay_rate()
     closed_form = s is not None and q_opt == q_formula(spec.p, s, spec.transfer_time)
     assert 0.0 <= q_opt <= 1.0 - 1e-9 or closed_form
-    rho_t, _ = _evolved_state(spec, spec.transfer_time)
+    (rho_t,), _ = _evolved_state(spec, [spec.transfer_time])
     qs = np.linspace(0.0, 1.0 - 1e-9, 10_000)
     on_grid, _ = reversal_outcome(
         spec.qubit, rho_t[0, 0].real, rho_t[0, 3], rho_t[3, 3].real,
