@@ -7,6 +7,12 @@ afterwards.  The stronger the pre-measurement, the better the fidelity and
 the rarer the kept branch: this script tabulates that trade-off at the
 transfer time and compares the closed-form reversal strength with the
 exactly optimal one.
+
+Which reversal each command reports: `qstsim protocol` uses the closed-form
+rule q = 1 - (1-p) e^{-st} (Korotkov & Keane 2010) unless told otherwise,
+the one with the higher success probability; `qstsim optimize-q` and
+`qstsim protocol --q-rule optimal` report the exact fidelity-maximizing q,
+the one with the higher fidelity.
 """
 
 from dataclasses import replace
@@ -47,7 +53,7 @@ spec = ProtocolSpec(
 q_opt, f_opt = optimize_q(spec)
 print(f"  rule:    q = {formula.q_used:.6f}  ->  F = {formula.fidelity:.6f}")
 print(f"  optimal: q = {q_opt:.6f}  ->  F = {f_opt:.6f}")
-optimal = run_protocol(replace(spec, q_rule="fixed", q_value=q_opt))
+optimal = run_protocol(replace(spec, q_rule="optimal"))
 print(
     f"  the extra fidelity costs success probability: "
     f"{optimal.reversal_success:.3e} vs {formula.reversal_success:.3e}"

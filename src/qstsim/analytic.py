@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import QubitAmplitudes
+from .core import QubitAmplitudes, check_strength
 
 
 def transfer_amplitudes(g1: float, g2: float, t):
@@ -34,31 +34,26 @@ def transfer_amplitudes(g1: float, g2: float, t):
     return c2, g1 * np.sin(rt) / math.sqrt(r2), c4
 
 
-def closed_form_factors(qubit: QubitAmplitudes, p, s, t, g1=1.0, g2=1.0, scaled=False):
-    """(rho00, k, b, (c2, i c3, c4), (f1, f3), e^{-st}), the factors of the
+def closed_form_factors(qubit: QubitAmplitudes, p, s, t, g1=1.0, g2=1.0):
+    """(rho00, k, b, (c2, i c3, c4), e^{-st/2}, e^{-st}), the factors of the
     closed-form state.
 
     With the amplitudes (a1, a2, a3) = (d1, -i d2, d3), rho0j = k conj(aj)
     and rhoij = b ai conj(aj).  k = alpha beta* sqrt(1-p) / N1^2 and
     b = |beta|^2 (1-p) / N1^2 come from the pre-measurement, and
     rho00 = 1 + (alpha^2 / N1^2 - 1) e^{-st} makes up the trace.  The dj
-    are the real exchange amplitudes of transfer_amplitudes, which depend on
-    t alone, times their damping: d1 = c2 f1, d2 = (i c3) f1 and d3 = c4 f3
-    with f1 = e^{-st/2}.  f3 = e^{-st/2} too, or 1 with scaled: the qubit-2
-    row and column are then multiplied by e^{st/2}, so the state stays finite
-    as e^{-st} underflows.  p, s, t and scaled broadcast.
+    are the real exchange amplitudes (c2, i c3, c4) of transfer_amplitudes,
+    which depend on t alone, times e^{-st/2}.  p, s and t broadcast.
     """
     alpha2 = qubit.alpha**2
     keep = 1.0 - np.asarray(p, dtype=float)
     n1_sq = alpha2 + abs(qubit.beta) ** 2 * keep
     st = np.asarray(s, dtype=float) * t
-    half_decay = np.exp(-0.5 * st)
     decay = np.exp(-st)
     rho00 = 1.0 + (alpha2 / n1_sq - 1.0) * decay
     k = qubit.alpha * np.conj(qubit.beta) * np.sqrt(keep) / n1_sq
     b = abs(qubit.beta) ** 2 * keep / n1_sq
-    damping = (half_decay, np.where(scaled, 1.0, half_decay))
-    return rho00, k, b, transfer_amplitudes(g1, g2, t), damping, decay
+    return rho00, k, b, transfer_amplitudes(g1, g2, t), np.exp(-0.5 * st), decay
 
 
 def analytic_rho(qubit: QubitAmplitudes, p, s, t, g1=1.0, g2=1.0, scaled=False) -> np.ndarray:
@@ -69,16 +64,16 @@ def analytic_rho(qubit: QubitAmplitudes, p, s, t, g1=1.0, g2=1.0, scaled=False) 
     are pairwise products of the exchange amplitudes damped by e^{-st};
     ground-excited coherences carry e^{-st/2}; the ground population
     absorbs the jump deficit, keeping the trace at exactly one.  With
-    scaled, the qubit-2 row and column are multiplied by e^{st/2}, the
-    state the closed-form reversal sees (see closed_form_factors).  p, s, t
-    and scaled broadcast; the result has shape (..., 4, 4).
+    scaled, the qubit-2 row and column are multiplied by lambda = e^{st/2},
+    as in integrate, so the state stays finite as e^{-st} underflows.  p, s,
+    t and scaled broadcast; the result has shape (..., 4, 4).
     """
     if not (np.all(np.asarray(t) >= 0) and np.all(np.asarray(s) >= 0)):
         raise ValueError("time and decay rate must be non-negative")
-    if not np.all((np.asarray(p) >= 0) & (np.asarray(p) < 1)):
-        raise ValueError("measurement strength p must lie in [0, 1)")
-    rho00, k, b, (c2, ic3, c4), (f1, f3), _ = closed_form_factors(qubit, p, s, t, g1, g2, scaled)
-    rho00, d1, d2, d3 = np.broadcast_arrays(rho00, c2 * f1, ic3 * f1, c4 * f3)
+    check_strength(p)
+    rho00, k, b, (c2, ic3, c4), half_decay, _ = closed_form_factors(qubit, p, s, t, g1, g2)
+    d3 = c4 * np.where(scaled, 1.0, half_decay)
+    rho00, d1, d2, d3 = np.broadcast_arrays(rho00, c2 * half_decay, ic3 * half_decay, d3)
     amps = np.stack([d1, -1j * d2, d3], axis=-1)
     rho = np.empty(rho00.shape + (4, 4), dtype=complex)
     rho[..., 0, 0] = rho00

@@ -37,6 +37,7 @@ from .core import (
     QUBIT2,
     QubitAmplitudes,
     SystemParams,
+    check_strength,
     initial_state,
 )
 from .lindblad import integrate
@@ -233,8 +234,7 @@ def _build_evolve(values) -> "tuple[SystemParams, QubitAmplitudes, AxisGrid]":
     params = _system_params(values)
     grid = AxisGrid(values["grid-start"], values["grid-stop"], values["grid-points"])
     qubit = _qubit(values)
-    if not 0.0 <= values["p"] < 1.0:  # the run measures: an empty branch is exit 4
-        raise ValueError("measurement strength p must lie in [0, 1)")
+    check_strength(values["p"])  # the run measures: an empty branch is exit 4
     return params, qubit, grid
 
 
@@ -349,11 +349,11 @@ def _run_protocol(cfg: RunConfig) -> dict:
 
 
 def _run_optimize_q(cfg: RunConfig) -> dict:
-    candidates, _ = _candidates(cfg.spec, "optimal")
-    q_opt, f_opt = pick_best(candidates)[:2]
-    record = {"q_opt": q_opt, "fidelity_opt": f_opt, "gt": cfg.values["gt"]}
+    strength, fidelity, _, _, q = _candidates(cfg.spec, "optimal")[0]
+    best = pick_best(strength, fidelity)
+    record = {"q_opt": q[best], "fidelity_opt": fidelity[best], "gt": cfg.values["gt"]}
     if cfg.spec.params.equal_decay_rate() is not None:  # the closed-form q comes last
-        record["q_formula"], record["fidelity_formula"] = candidates[-1][:2]
+        record["q_formula"], record["fidelity_formula"] = q[-1], fidelity[-1]
     return _record_files(cfg, "optimize_q", record)
 
 

@@ -91,6 +91,12 @@ class QubitAmplitudes:
             raise ValueError(f"require alpha^2 + |beta|^2 = 1, got {norm!r}")
 
 
+def check_strength(p) -> None:
+    """Raise ValueError unless every p lies in [0, 1), where the kept branch is not empty."""
+    if not np.all((np.asarray(p) >= 0.0) & (np.asarray(p) < 1.0)):  # NaN fails
+        raise ValueError("measurement strength p must lie in [0, 1)")
+
+
 def initial_state(qubit: QubitAmplitudes) -> np.ndarray:
     """(alpha|0> + beta|1>)_1 |0>_2 |0>_c as a length-4 amplitude vector."""
     return np.array([qubit.alpha, qubit.beta, 0.0, 0.0], dtype=complex)
@@ -174,17 +180,6 @@ def embed_qubit2_op(op2x2: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation of m from its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
-def smallest_eigenvalue(rho: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of rho."""
-    herm = 0.5 * (rho + rho.conj().T)
-    return float(np.linalg.eigvalsh(herm)[0])
-
-
 def physicality_violations(
     rho: np.ndarray,
     herm_tol: float = 1e-12,
@@ -197,13 +192,13 @@ def physicality_violations(
     semidefinite within the given tolerances.
     """
     problems = []
-    herm = hermiticity_defect(rho)
+    herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > herm_tol:
         problems.append(f"hermiticity defect {herm:.3e} > {herm_tol:.1e}")
     tr = abs(np.trace(rho) - 1.0)
     if tr > trace_tol:
         problems.append(f"trace defect {tr:.3e} > {trace_tol:.1e}")
-    low = smallest_eigenvalue(rho)
+    low = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])  # of the Hermitian part
     if low < eig_floor:
         problems.append(f"smallest eigenvalue {low:.3e} < {eig_floor:.1e}")
     return problems

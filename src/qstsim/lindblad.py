@@ -8,9 +8,11 @@ the numpy scaling-and-squaring Pade propagator :func:`expm_stack`, so the
 cost does not depend on how stiff the rates are and only numpy is needed.
 """
 
+import functools
+
 import numpy as np
 
-from .core import DIM, SystemParams, collapse_operators, hamiltonian
+from .core import DIM, GROUND, QUBIT2, SystemParams, collapse_operators, hamiltonian
 
 
 # b_0..b_13 of the degree-13 Pade approximant to exp, and the 1-norm
@@ -52,25 +54,52 @@ def expm_stack(a: np.ndarray) -> np.ndarray:
     return x
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two DIM x DIM matrices, as one broadcast outer product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(DIM * DIM, DIM * DIM)
+
+
 def liouvillian(params: SystemParams) -> np.ndarray:
     """The 16x16 generator L with vec(d rho/dt) = L vec(rho), row-major vec.
 
     -i[H, rho] plus the lowering-operator dissipators for photon loss and
     qubit emission, plus (gamma_phi/2)(Z rho Z - rho) for each qubit when
-    dephasing is on, assembled with vec(A rho B) = (A kron B^T) vec(rho).
+    dephasing is on, which is the dissipator of Z at rate gamma_phi/2 as
+    Z^+ Z = 1, assembled with vec(A rho B) = (A kron B^T) vec(rho).
     """
     eye = np.eye(DIM)
     h = hamiltonian(params)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    gen = -1j * (_kron(h, eye) - _kron(eye, h.T))
     for op, rate, dephasing in collapse_operators(params):
-        if dephasing:
-            gen += 0.5 * rate * (np.kron(op, op.T) - np.eye(DIM * DIM))
-        else:
-            ldl = op.conj().T @ op
-            gen += rate * (
-                np.kron(op, op.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
-            )
+        rate = 0.5 * rate if dephasing else rate
+        ldl = op.conj().T @ op
+        gen += rate * (_kron(op, op.conj()) - 0.5 * (_kron(ldl, eye) + _kron(eye, ldl.T)))
     return gen
+
+
+_EXCITED = np.outer(np.arange(DIM) > 0, np.arange(DIM) > 0)  # rho[i, j] with i, j > 0
+
+
+def _abscissa(block: np.ndarray) -> float:
+    """Largest real part of the eigenvalues of block, found about its largest
+    diagonal entry, so that they round with the spread of the rates."""
+    shift = block.diagonal().real.max()
+    return float(shift + np.linalg.eigvals(block - shift * np.eye(len(block))).real.max())
+
+
+@functools.lru_cache(maxsize=1)  # integrate and its caller read one frame
+def decay_frame(params: SystemParams) -> tuple[np.ndarray, float, float]:
+    """The generator of the 15 entries other than rho00 in the decay frame,
+    and the spectral abscissae it removes: a_exc <= 0 of the 9 excited
+    entries, a_coh <= a_exc / 2 of the 6 ground coherences (-s and -s/2 at
+    equal rates s), clipped to those bounds against rounding."""
+    gen = liouvillian(params)[1:, 1:]
+    excited = _EXCITED.reshape(-1)[1:]
+    a_exc = min(_abscissa(gen[np.ix_(excited, excited)]), 0.0)
+    a_coh = min(_abscissa(gen[np.ix_(~excited, ~excited)]), 0.5 * a_exc)
+    gen -= np.diag(np.where(excited, a_exc, a_coh))
+    gen.setflags(write=False)
+    return gen, a_exc, a_coh
 
 
 def integrate(
@@ -84,14 +113,12 @@ def integrate(
     at sample_times[i].
 
     sample_times must be finite, non-negative and strictly increasing; a
-    sample at t = 0 is rho0.  Every jump lands in the ground state and
-    nothing feeds its population back, so only the other 15 entries are
-    propagated and the ground population is the trace deficit.  With equal
-    rates s they are propagated in the frame that multiplies the excited
-    block by e^{st} and the ground coherences by e^{st/2}, where the
-    generator has no net decay and nothing underflows; the frame is undone
-    after sampling.  With scaled, which needs equal rates, the qubit-2 row
-    and column keep their factor e^{st/2}, as in analytic_rho.
+    sample at t = 0 is rho0.  The ground population is the trace deficit,
+    and the other 15 entries are propagated in the decay_frame, where
+    nothing underflows.  With scaled, the qubit-2 row and column keep
+    lambda = e^{-a_exc t/2} (e^{st/2} at equal rates, as in analytic_rho):
+    lambda^2 rho33 is a frame entry and lambda rho03 one times e^{(a_coh -
+    a_exc/2) t} <= 1, so neither overflows.
 
     Each sample is reached from the previous one by the propagator
     exp(G * gap), one per distinct exact float gap, all from one expm_stack
@@ -113,14 +140,8 @@ def integrate(
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (DIM, DIM):
         raise ValueError(f"expected a {DIM}x{DIM} initial state, got {rho.shape}")
-    s = params.equal_decay_rate()
-    if s is None and scaled:
-        raise ValueError("a scaled state needs kappa = gamma1 = gamma2")
-    s = 0.0 if s is None else s
 
-    rows, cols = np.divmod(np.arange(1, DIM * DIM), DIM)
-    shift = 0.5 * s * (np.sign(rows) + np.sign(cols))  # s excited, s/2 ground coherences
-    gen = liouvillian(params)[1:, 1:] + np.diag(shift)
+    gen, a_exc, a_coh = decay_frame(params)
     x = 0.5 * (rho + rho.conj().T)
     ground0 = x[0, 0].real
     x[0, 0] = 0.0
@@ -135,12 +156,15 @@ def integrate(
         x = 0.5 * (x + x.conj().T)
         frame[i] = x
 
-    # back from the frame: rows and columns 1..3 by e^{-st/2}, qubit 2's
-    # excepted when scaled; the ground population from the true excited one
-    weights = np.where([False, True, True, not scaled], np.exp(-0.5 * s * samples)[:, None], 1.0)
-    states = frame * (weights[:, :, None] * weights[:, None, :])
-    excited = np.exp(-s * samples) * np.trace(frame, axis1=1, axis2=2).real
-    states[:, 0, 0] = ground0 + (excited0 - excited)
+    # back from the frame, with lambda when scaled; the ground population
+    # from the true excited one
+    rates = np.where(_EXCITED, a_exc, a_coh)
+    if scaled:
+        rates[QUBIT2, :] -= 0.5 * a_exc
+        rates[:, QUBIT2] -= 0.5 * a_exc
+    states = frame * np.exp(samples[:, None, None] * rates)
+    excited = np.exp(a_exc * samples) * np.trace(frame, axis1=1, axis2=2).real
+    states[:, GROUND, GROUND] = ground0 + (excited0 - excited)
     bad = ~np.isfinite(states).all(axis=(1, 2))
     if bad.any():
         raise FloatingPointError(f"state is not finite at t = {samples[bad.argmax()]:.6g}")

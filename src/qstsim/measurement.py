@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DIM, QUBIT1, SIGMA_Z2, embed_qubit2_op
+from .core import DIM, QUBIT1, SIGMA_Z2, check_strength, embed_qubit2_op
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -82,8 +82,7 @@ def apply_measurement_qubit1(state: np.ndarray, p: float) -> PostSelectedState:
     probability is the trace of the unnormalized result (N1^2 for the
     standard prepared state).
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError("measurement strength p must lie in [0, 1)")
+    check_strength(p)
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
         rho = np.outer(state, state.conj())
@@ -123,8 +122,7 @@ def apply_reversal_qubit2(
 
     # diag(sqrt(1-q), sqrt(1-q), sqrt(1-q), 1): the bit-flip conjugated
     # kept-branch Kraus operator lifted onto qubit 2
-    root = math.sqrt(1.0 - q)
-    kraus = embed_qubit2_op(PAULI_X @ np.diag([1.0, root]).astype(complex) @ PAULI_X)
+    kraus = embed_qubit2_op(PAULI_X @ m0_operator(q) @ PAULI_X)
     kept = kraus @ rho @ kraus
     prob = float(np.trace(kept).real)  # equals 1 - q + q * rho[3, 3]
     if apply_sigma_z:

@@ -93,8 +93,8 @@ def grid_then_golden_max_rows(
     return np.where(use_refined, x_ref, x_grid), np.where(use_refined, f_ref, best)
 
 
-def pick_best(candidates: "list[tuple]") -> tuple:
-    """The candidate (abscissa, value, ...) of highest value; ties within
-    1e-12 go to the smallest abscissa."""
-    top = max(c[1] for c in candidates)
-    return min((c for c in candidates if c[1] >= top - _TIE), key=lambda c: c[0])
+def pick_best(abscissae: np.ndarray, values: np.ndarray) -> int:
+    """Index of the highest value; ties within 1e-12 go to the smallest
+    abscissa, and then to the first."""
+    tied = np.flatnonzero(values >= values.max() - _TIE)
+    return int(tied[np.argmin(abscissae[tied])])

@@ -4,8 +4,9 @@ One run is: prepare (alpha|0> + beta|1>) on qubit 1, partially measure qubit 1
 with strength p (keep the not-excited branch), let the excitation swap
 through the resonator for a time t under decay, then reverse with strength q
 on qubit 2 plus a sigma_z, and compare against the target state on qubit 2.
-The reversal strength can follow the closed-form rule q = 1 - (1-p) e^{-st},
-be fixed by hand, or be the exact fidelity-maximizing q.
+The reversal strength can follow the closed-form rule q = 1 - (1-p) e^{-st}
+(Korotkov & Keane, PRA 81, 040103(R) (2010)), be fixed by hand, or be the
+exact fidelity-maximizing q, each scored through ln(1 - q) on one state.
 """
 
 import math
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import analytic_rho
-from .core import QubitAmplitudes, SystemParams, initial_state, target_state
-from .lindblad import integrate
-from .measurement import apply_measurement_qubit1, apply_reversal_qubit2
+from .core import QubitAmplitudes, SystemParams, check_strength, initial_state, target_state
+from .lindblad import decay_frame, integrate
+from .measurement import apply_measurement_qubit1
 from .optimize import pick_best
 
 
@@ -32,8 +33,7 @@ def q_formula(p: float, s: float, t: float) -> float:
     damping factor the excited amplitude picked up on the no-jump branch;
     state-independent, always in [p, 1).
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError("measurement strength p must lie in [0, 1)")
+    check_strength(p)
     if s < 0 or t < 0:
         raise ValueError("s and t must be non-negative")
     return 1.0 - (1.0 - p) * math.exp(-s * t)
@@ -67,23 +67,25 @@ def _target_entries(rho: np.ndarray):
 
 
 def reversal_outcome(
-    qubit: QubitAmplitudes, rho00, rho03, rho33, trace, q_complement, apply_sigma_z=True
+    qubit: QubitAmplitudes, rho00, rho03, rho33, trace, w, c, apply_sigma_z=True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fidelity and success probability of the reversal, elementwise.
 
     apply_reversal_qubit2 and fidelity_to_target reduced to what the target
-    sees of the state before the reversal.  With c = q_complement = 1 - q
-    the kept branch has probability S = c (trace - rho33) + rho33, and the
-    fidelity is (alpha^2 c rho00 -+ 2 alpha sqrt(c) Re(beta rho03) +
-    |beta|^2 rho33) / S, minus under the sigma_z.  The arguments after the
-    qubit broadcast; the state need not be normalized.  A value that is not
-    finite, 0/0 included, raises FloatingPointError.
+    sees of a state whose qubit-2 row and column carry lambda (1 for the
+    true state).  With c = 1 - q and a finite w = lambda^2 c, the fidelity
+    is (A w + B sqrt(w) + D) / (E w + R) and the success c (E w + R) / w, where
+    A = alpha^2 rho00, B = -+2 alpha Re(beta rho03) under the sigma_z or
+    not, D = |beta|^2 rho33, E = trace - rho33 and R = rho33.  The
+    arguments after the qubit broadcast.  A value that is not finite, 0/0
+    included, raises FloatingPointError.
     """
-    c = np.asarray(q_complement, dtype=float)
+    w = np.asarray(w, dtype=float)
     a, b, d = _overlap_coefficients(qubit, rho00, rho03, rho33, apply_sigma_z)
-    success = c * (trace - rho33) + rho33
+    kept = w * (trace - rho33) + rho33
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is caught below
-        fidelity = (a * c + b * np.sqrt(c) + d) / success
+        fidelity = (a * w + b * np.sqrt(w) + d) / kept
+        success = c / w * kept
     if not (np.all(np.isfinite(fidelity)) and np.all(np.isfinite(success))):
         raise FloatingPointError("reversal outcome is not finite")
     return fidelity, success
@@ -94,8 +96,9 @@ class ProtocolSpec:
     """One protocol configuration.
 
     q_rule selects how the reversal strength is chosen: "formula" for the
-    closed-form rule (requires kappa = gamma1 = gamma2), "fixed" for an
-    explicit q_value, "optimal" for the fidelity-maximizing q.  The
+    closed-form rule (requires kappa = gamma1 = gamma2), which has the
+    higher success probability; "fixed" for an explicit q_value; "optimal"
+    for the exact fidelity-maximizing q at any rates, uncapped.  The
     analytic engine needs equal decay rates and no dephasing; the numeric
     engine integrates the master equation and has no such restriction.
     transfer_time defaults to the full-transfer time when g1 = g2 and must
@@ -112,8 +115,7 @@ class ProtocolSpec:
     apply_sigma_z: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError("measurement strength p must lie in [0, 1)")
+        check_strength(self.p)
         if self.q_rule not in ("formula", "fixed", "optimal"):
             raise ValueError(f"unknown q_rule {self.q_rule!r}")
         if self.q_rule == "fixed":
@@ -159,111 +161,85 @@ class ProtocolOutcome:
     success_probability: float
 
 
-def _evolved_state(spec: ProtocolSpec, times, scaled: bool = False) -> tuple[np.ndarray, float]:
-    """States just before the reversal at each of the times, shape (n, 4, 4),
-    from either engine, and the pre-measurement probability.
-
-    With scaled, the qubit-2 row and column are multiplied by e^{st/2} (see
-    analytic_rho); this needs equal decay rates.
-    """
+def _evolved_state(spec: ProtocolSpec, times) -> tuple[np.ndarray, np.ndarray, float]:
+    """Scaled states just before the reversal at each of the times, shape
+    (n, 4, 4), from either engine (see integrate and analytic_rho); ln
+    lambda^2 at each time; and the pre-measurement probability."""
     pre = apply_measurement_qubit1(initial_state(spec.qubit), spec.p)
     params = spec.params
+    times = np.asarray(times, dtype=float)
     if spec.engine == "analytic":
-        rho = analytic_rho(
-            spec.qubit, spec.p, params.equal_decay_rate(), times, params.g1, params.g2, scaled
-        )
+        rate = params.equal_decay_rate()
+        rho = analytic_rho(spec.qubit, spec.p, rate, times, params.g1, params.g2, True)
     else:
-        rho = integrate(params, pre.state, times, scaled)
-    return rho, pre.success_probability
+        rho = integrate(params, pre.state, times, True)
+        rate = -decay_frame(params)[1]  # cached by integrate
+    return rho, rate * times, pre.success_probability
 
 
-def _closed_form_rule(qubit: QubitAmplitudes, entries, p, decay, apply_sigma_z, formula=True):
-    """Fidelity and reversal success of the closed-form q = 1 - (1-p) e^{-st}
-    from the _target_entries of the scaled state (see analytic_rho): the
-    reversal with q = p, whose success is multiplied by decay = e^{-st}, so
-    nothing underflows as e^{-st} goes to 0.  Where formula is false the
-    entries are of the unscaled state, reversed with q = 0.  The arguments
-    after the qubit broadcast.
+_LOG_W_MIN = -40.0  # the optimum's endpoint ln(lambda^2 (1 - q)), near its limit q -> 1
+# above e^690 ~ 1e300 the fidelity is A/E to double precision, and w would overflow
+_LOG_W_MAX = 690.0
+
+
+def _candidates(spec: ProtocolSpec, q_rule: str) -> tuple[tuple, np.ndarray, float]:
+    """The candidate reversals of q_rule, scored on the one scaled state at
+    the transfer time, as arrays (-ln(1 - q), fidelity, reversal success,
+    w = lambda^2 (1 - q), q), the first for ties, as q may round to 1; that
+    state; and the pre-measurement probability.
+
+    Each candidate is a ln c = ln(1 - q).  fixed: ln(1 - q_value).
+    formula: ln(1 - p) - ln lambda^2, as lambda^2 = e^{st}.  optimal: q = 0;
+    the endpoint ln w = _LOG_W_MIN; the stationary point; and, with equal
+    rates, the closed-form q, last.  In u = 1 / sqrt(w) the fidelity is
+    (A + B u + D u^2) / (E + R u^2), stationary where -B R u^2 + 2 (D E -
+    A R) u + B E = 0, whose roots multiply to -E / R: one is positive, at
+    ln c = -2 ln u - ln lambda^2.
     """
-    fidelity, success = reversal_outcome(
-        qubit, *entries, np.where(formula, 1.0 - np.asarray(p), 1.0), apply_sigma_z
-    )
-    return fidelity, np.where(formula, decay, 1.0) * success
-
-
-_Q_MAX = 1.0 - 1e-9  # the strongest reversal the optimum may use, bar the closed form
-
-
-def _real_roots(a2: float, a1: float, a0: float) -> list[float]:
-    """Real roots of a2 x^2 + a1 x + a0 = 0, free of cancellation."""
-    if a2 == 0.0:
-        return [] if a1 == 0.0 else [-a0 / a1]
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if disc < 0.0:
-        return []
-    h = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
-    return [h / a2, a0 / h] if h != 0.0 else [0.0]
-
-
-def _candidates(spec: ProtocolSpec, q_rule: str) -> tuple[list[tuple], float]:
-    """The candidate reversal strengths of q_rule, each scored by
-    reversal_outcome, and the pre-measurement probability.
-
-    A candidate is (q, fidelity, reversal success, state, strength); its
-    reversal is apply_reversal_qubit2(state, strength).  formula: the
-    closed-form q, on the scaled state with strength p (see
-    _closed_form_rule).  fixed: q_value.  optimal: q = 0, _Q_MAX, the
-    stationary points in between and, with equal rates, the closed-form q,
-    last.  With x = sqrt(1 - q) the fidelity is (A x^2 + B x + D) /
-    (E x^2 + R), E = trace - rho33 and R = rho33, whose stationary points
-    are the roots of -B E x^2 + 2 (A R - D E) x + B R = 0.
-    """
-    t = spec.transfer_time
-    s = spec.params.equal_decay_rate()
-    candidates = []
-    if q_rule != "formula":
-        (rho,), pre_prob = _evolved_state(spec, [t])
-        entries = _target_entries(rho)
-        qs = [spec.q_value]
-        if q_rule == "optimal":
-            rho00, rho03, rho33, trace = entries
-            coefficients = _overlap_coefficients(spec.qubit, rho00, rho03, rho33, spec.apply_sigma_z)
-            # Python floats: a root far outside (0, 1) overflows to inf quietly
-            a, b, d, e, r = map(float, (*coefficients, trace - rho33, rho33))
-            roots = _real_roots(-b * e, 2.0 * (a * r - d * e), b * r)
-            qs = [0.0, _Q_MAX]
-            qs += [q for q in (1.0 - x * x for x in roots if x > 0.0) if 0.0 < q <= _Q_MAX]
-        fidelity, success = reversal_outcome(
-            spec.qubit, *entries, 1.0 - np.array(qs), spec.apply_sigma_z
-        )
-        for q, f, kept in zip(qs, fidelity.tolist(), success.tolist()):
-            candidates.append((q, f, kept, rho, q))
-    if q_rule == "formula" or (q_rule == "optimal" and s is not None):
-        (rho,), pre_prob = _evolved_state(spec, [t], scaled=True)
-        fidelity, success = _closed_form_rule(
-            spec.qubit, _target_entries(rho), spec.p, math.exp(-s * t), spec.apply_sigma_z
-        )
-        candidates.append((q_formula(spec.p, s, t), float(fidelity), float(success), rho, spec.p))
-    return candidates, pre_prob
+    (rho,), (log_lambda_sq,), pre_prob = _evolved_state(spec, [spec.transfer_time])
+    entries = _target_entries(rho)
+    log_cs = [math.log1p(-spec.q_value)] if q_rule == "fixed" else []
+    if q_rule == "optimal":
+        rho00, rho03, rho33, trace = entries
+        coefficients = _overlap_coefficients(spec.qubit, rho00, rho03, rho33, spec.apply_sigma_z)
+        # Python floats: a root far outside the range overflows to inf quietly
+        a, b, d, e, r = map(float, (*coefficients, trace - rho33, rho33))
+        log_cs = [0.0, _LOG_W_MIN - log_lambda_sq]
+        if b * r != 0.0:  # that root, free of cancellation
+            m = math.copysign(1.0, b) * (d * e - a * r)
+            h = math.hypot(m, b * math.sqrt(max(e * r, 0.0)))
+            u = (m + h) / abs(b * r) if m >= 0.0 else abs(b) * e / (h - m)
+            if 0.0 < u and u * u < math.inf:
+                log_cs.append(-2.0 * math.log(u) - log_lambda_sq)
+    if q_rule != "fixed" and spec.params.equal_decay_rate() is not None:
+        log_cs.append(math.log1p(-spec.p) - log_lambda_sq)
+    log_c = np.minimum(log_cs, 0.0)  # a stationary point at q < 0 is the q = 0 one
+    w = np.exp(np.minimum(log_lambda_sq + log_c, _LOG_W_MAX))
+    fidelity, success = reversal_outcome(spec.qubit, *entries, w, np.exp(log_c), spec.apply_sigma_z)
+    return (-log_c, fidelity, success, w, -np.expm1(log_c)), rho, pre_prob
 
 
 def run_protocol(spec: ProtocolSpec) -> ProtocolOutcome:
     """Run the full pipeline and report fidelity and success probabilities.
 
     Reports the fidelity and reversal success of the best candidate of
-    spec.q_rule (see _candidates); ties within 1e-12 go to the smallest q,
-    which has the higher success probability.  The final state is that
-    candidate's reversal.
+    spec.q_rule (see _candidates); ties within 1e-12 go to the weakest
+    reversal, which has the higher success probability.  The final state is
+    diag(1, 1, 1, -+u) rho' diag(1, 1, 1, -+u) of the scaled state rho',
+    with u = 1 / sqrt(w), normalized; the sign is the sigma_z.
     """
-    candidates, pre_prob = _candidates(spec, spec.q_rule)
-    q, fidelity, reversal_success, rho, strength = pick_best(candidates)
+    (strength, fidelity, success, w, q), rho, pre_prob = _candidates(spec, spec.q_rule)
+    best = pick_best(strength, fidelity)
+    u = w[best] ** -0.5
+    weights = np.array([1.0, 1.0, 1.0, -u if spec.apply_sigma_z else u])
+    kept = rho * np.outer(weights, weights)
     return ProtocolOutcome(
-        fidelity=fidelity,
-        q_used=q,
-        final_state=apply_reversal_qubit2(rho, strength, spec.apply_sigma_z).state,
+        fidelity=fidelity[best],
+        q_used=q[best],
+        final_state=kept / np.trace(kept).real,
         premeasure_success=pre_prob,
-        reversal_success=reversal_success,
-        success_probability=pre_prob * reversal_success,
+        reversal_success=success[best],
+        success_probability=pre_prob * success[best],
     )
 
 
@@ -271,4 +247,6 @@ def optimize_q(spec: ProtocolSpec) -> tuple[float, float]:
     """Exact fidelity-maximizing reversal strength at the given time, and
     its fidelity (see _candidates); any q_rule on the spec is ignored.
     """
-    return pick_best(_candidates(spec, "optimal")[0])[:2]
+    strength, fidelity, _, _, q = _candidates(spec, "optimal")[0]
+    best = pick_best(strength, fidelity)
+    return q[best], fidelity[best]

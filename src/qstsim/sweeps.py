@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import closed_form_factors
-from .core import QubitAmplitudes, SystemParams
+from .core import QubitAmplitudes, SystemParams, check_strength
 from .optimize import grid_then_golden_max_rows
 from .protocol import (
     ProtocolSpec,
-    _closed_form_rule,
     _evolved_state,
     _target_entries,
     full_transfer_time,
+    reversal_outcome,
 )
 
 BASELINE_LABEL = "baseline"
@@ -80,9 +80,7 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if not self.s_over_g >= 0:
             raise ValueError("s-over-g must be non-negative")
-        for p in (*self.p_values, self.p):
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"measurement strength p={p!r} must lie in [0, 1)")
+        check_strength((*self.p_values, self.p))
         if not all(rate >= 0 for rate in self.gamma_phi_over_g):
             raise ValueError("gamma-phi-over-g must be non-negative")
         if self.t_max is not None and not self.t_max > 0:
@@ -137,16 +135,20 @@ def closed_form_outcome(
     unmeasured baseline when p = 0).  Agrees with run_protocol on the
     analytic engine point by point, but forms only what the target state
     sees: rho00, rho03, rho33 and the trace, each an array of the broadcast
-    shape, which _closed_form_rule turns into fidelity and success; so the
-    fidelity stays finite as e^{-st} underflows and only the success goes
-    to 0.  A value that is still not finite raises FloatingPointError.
+    shape, which reversal_outcome scores: under the closed form those of the
+    state scaled by lambda = e^{st/2}, so that w = 1 - p and only the
+    success goes to 0 as e^{-st} underflows.  A value that is still not
+    finite raises FloatingPointError.
     """
-    rho00, k, b, (c2, ic3, c4), (_, f3), decay = closed_form_factors(qubit, p, s, t, g1, g2, formula)
-    d3 = c4 * f3
+    rho00, k, b, (c2, ic3, c4), half_decay, decay = closed_form_factors(qubit, p, s, t, g1, g2)
+    d3 = c4 * np.where(formula, 1.0, half_decay)
     rho33 = b * d3 * d3
     # qubit 1 and photon: the undamped sum on the time axis, then the decay
     trace = rho00 + b * (c2 * c2 + ic3 * ic3) * decay + rho33
-    return _closed_form_rule(qubit, (rho00, k * d3, rho33, trace), p, decay, apply_sigma_z, formula)
+    keep = 1.0 - np.asarray(p, dtype=float)
+    w = np.where(formula, keep, 1.0)
+    c = np.where(formula, keep * decay, 1.0)
+    return reversal_outcome(qubit, rho00, k * d3, rho33, trace, w, c, apply_sigma_z)
 
 
 def time_sweep(spec: SweepSpec) -> SweepResult:
@@ -213,8 +215,8 @@ def dephasing_sweep(spec: SweepSpec) -> SweepResult:
 
     Dephasing breaks the closed-form solution, so each series integrates the
     master equation once from the post-measurement state and reverses the
-    whole trajectory in one array evaluation with the closed-form rule (see
-    _closed_form_rule).
+    whole trajectory of scaled states in one array evaluation with the
+    closed-form rule, w = lambda^2 (1 - q) = 1 - p (see reversal_outcome).
     """
     if spec.kind != "dephasing":
         raise ValueError("spec.kind must be 'dephasing'")
@@ -224,10 +226,10 @@ def dephasing_sweep(spec: SweepSpec) -> SweepResult:
     for gamma_ratio in spec.gamma_phi_over_g:
         params = SystemParams(1.0, 1.0, s, s, s, gamma_phi=float(gamma_ratio))
         protocol = ProtocolSpec(spec.qubit, params, spec.p, engine="numeric")
-        states, _ = _evolved_state(protocol, times, scaled=True)
-        fidelity, success = _closed_form_rule(
-            spec.qubit, _target_entries(states), spec.p, np.exp(-s * times), spec.apply_sigma_z
+        states, log_lambda_sq, _ = _evolved_state(protocol, times)
+        keep = 1.0 - spec.p
+        fidelity, success = reversal_outcome(
+            spec.qubit, *_target_entries(states), keep, keep * np.exp(-log_lambda_sq), spec.apply_sigma_z
         )
         series[f"gphi={gamma_ratio:g}g"] = np.column_stack([fidelity, success])
     return SweepResult("gt", times, series)
-

@@ -273,6 +273,40 @@ def test_scaled_state_matches_the_closed_form(qubit, p, s, t, g1, g2):
     np.testing.assert_allclose(numeric, expected, rtol=0, atol=1e-12)
 
 
-def test_scaled_state_needs_equal_rates():
-    with pytest.raises(ValueError, match="kappa = gamma1 = gamma2"):
-        integrate(SystemParams(1.0, 1.0, 0.5, 0.4, 0.5), basis_projector(1), [1.0], scaled=True)
+
+@pytest.mark.parametrize(
+    "rates, gamma_phi, t",
+    [
+        ((300.0, 300.0, 299.0), 0.0, 2.2214414690791831),
+        ((40.0, 40.0, 39.9), 0.5, 2.2214414690791831),
+        ((1000.0, 3.0, 0.5), 0.0, 0.7),
+        ((1e-3, 1000.0, 700.0), 1e3, 2.0),
+    ],
+)
+def test_scaled_state_near_a_high_precision_reference(rates, gamma_phi, t):
+    # unequal rates up to 1e3, where the true excited entries are near
+    # e^{-2000}: the scaled state against 60-digit exp(L t), times lambda
+    # on the qubit-2 row and column
+    mpmath = pytest.importorskip("mpmath")
+    params = SystemParams(1.0, 1.0, *rates, gamma_phi=gamma_phi)
+    rho0 = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8j)), 0.3).state
+    scaled = integrate(params, rho0, [t], scaled=True)[0]
+    a_exc = lindblad.decay_frame(params)[1]
+    assert a_exc <= 0.0
+    with mpmath.workdps(60):
+        vec = mpmath.expm(mpmath.matrix((liouvillian(params) * t).tolist())) * mpmath.matrix(
+            rho0.reshape(-1).tolist()
+        )
+        lam = mpmath.exp(-mpmath.mpf(a_exc) * t / 2)
+        exact = np.array(
+            [[complex(vec[4 * i + j] * lam ** ((i == 3) + (j == 3))) for j in range(4)] for i in range(4)]
+        )
+    assert np.abs(scaled).max() <= 1.0 + 1e-12
+    np.testing.assert_allclose(scaled, exact, rtol=0, atol=1e-12)
+
+
+def test_frame_removes_the_equal_rates_exactly_enough():
+    # kappa = gamma1 = gamma2 = s: the shifts are s and s/2 up to rounding
+    for s in (0.0, 0.5, 130.0, 1000.0):
+        _, a_exc, a_coh = lindblad.decay_frame(SystemParams(1.0, 1.0, s, s, s))
+        assert abs(a_exc + s) <= 1e-15 * max(s, 1.0) and abs(a_coh + 0.5 * s) <= 1e-15 * max(s, 1.0)
