@@ -41,16 +41,8 @@ from .core import (
     initial_state,
 )
 from .lindblad import integrate
-from .measurement import DegenerateReversal, ZeroProbability, apply_measurement_qubit1
-from .output import (
-    csv_mirror,
-    make_meta,
-    svg_line_plot,
-    write_csv,
-    write_json,
-    write_record_csv,
-    write_svg,
-)
+from .measurement import ZeroProbability, apply_measurement_qubit1
+from .output import cells, csv_mirror, make_meta, svg_line_plot, write_csv, write_json, write_svg
 from .optimize import pick_best
 from .protocol import ProtocolSpec, _candidates, full_transfer_time, run_protocol
 from .sweeps import (
@@ -286,8 +278,8 @@ def _build_sweep(kind: str, values) -> SweepSpec:
 # the path and renders its file only when called
 
 
-def _csv(axis_name, axis_values, columns):
-    return lambda path: write_csv(path, axis_name, axis_values, columns)
+def _csv(table):
+    return lambda path: write_csv(path, table)
 
 
 def _svg(title, x_label, y_label, x, series):
@@ -302,11 +294,12 @@ def _json(cfg: RunConfig, data):
 
 
 def _record_files(cfg: RunConfig, prefix: str, record: "dict[str, float]", extra=dict):
+    """A one-row table for the CSV; the JSON keeps full-precision floats."""
     def data():
         return {**{key: float(val) for key, val in record.items()}, **extra()}
 
     return {
-        f"{prefix}.csv": lambda path: write_record_csv(path, record),
+        f"{prefix}.csv": _csv({key: cells([val]) for key, val in record.items()}),
         f"{prefix}.json": _json(cfg, data),
     }
 
@@ -320,13 +313,13 @@ def _run_evolve(cfg: RunConfig) -> dict:
     gts = grid.values()
     states = integrate(params, pre.state, gts / params.g_ref)
     series = {f"pop_{name}": states[:, i, i].real for name, i in _LEVELS.items()}
-    columns = dict(series)
+    table = {"gt": cells(gts), **{name: cells(col) for name, col in series.items()}}
     for (a, i), (b, j) in itertools.combinations(_LEVELS.items(), 2):
-        columns[f"re_{a}_{b}"] = states[:, i, j].real
-        columns[f"im_{a}_{b}"] = states[:, i, j].imag
+        table[f"re_{a}_{b}"] = cells(states[:, i, j].real)
+        table[f"im_{a}_{b}"] = cells(states[:, i, j].imag)
     return {
-        "evolve_trajectory.csv": _csv("gt", gts, columns),
-        "evolve.json": _json(cfg, lambda: csv_mirror("gt", gts, columns)),
+        "evolve_trajectory.csv": _csv(table),
+        "evolve.json": _json(cfg, lambda: csv_mirror(table)),
         "evolve_populations.svg": _svg("evolve: populations", "gt", "population", gts, series),
     }
 
@@ -361,16 +354,20 @@ def _run_sweep(cfg: RunConfig) -> dict:
     sweep, x_label, _ = _SWEEPS[cfg.spec.kind]
     result = sweep(cfg.spec)
     prefix = cfg.command  # fig2, fig3, fig4 or sweep
-    axis = (result.axis_name, result.axis_values)
-    columns = {metric: result.columns(metric) for metric in ("fidelity", "success")}
-    files = {f"{prefix}_{metric}.csv": _csv(*axis, cols) for metric, cols in columns.items()}
-    files[f"{prefix}.json"] = _json(
-        cfg, lambda: csv_mirror(*axis, {**columns["fidelity"], **columns["success"]})
-    )
-    for metric, cols in columns.items():
-        series = {name[len(metric) + 1 : -1]: col for name, col in cols.items()}
+    axis = {result.axis_name: cells(result.axis_values)}
+    series = {  # per metric, the label and column of each series
+        metric: {label: rows[:, col] for label, rows in result.series.items()}
+        for col, metric in enumerate(("fidelity", "success"))
+    }
+    tables = {
+        metric: {**axis, **{f"{metric}[{label}]": cells(values) for label, values in columns.items()}}
+        for metric, columns in series.items()
+    }
+    files = {f"{prefix}_{metric}.csv": _csv(table) for metric, table in tables.items()}
+    files[f"{prefix}.json"] = _json(cfg, lambda: csv_mirror({**tables["fidelity"], **tables["success"]}))
+    for metric, columns in series.items():
         files[f"{prefix}_{metric}.svg"] = _svg(
-            f"{prefix}: {metric}", x_label, metric, result.axis_values, series
+            f"{prefix}: {metric}", x_label, metric, result.axis_values, columns
         )
     return files
 
@@ -637,7 +634,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     try:
         written = _emit(cfg, _COMMANDS[cfg.command].run(cfg))
-    except (DegenerateReversal, ZeroProbability, FloatingPointError) as exc:
+    except (ZeroProbability, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

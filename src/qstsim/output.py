@@ -1,12 +1,16 @@
 """Result serialization: CSV tables, a JSON mirror with run metadata, and
 self-contained SVG line plots.
 
-CSV files are UTF-8 with ``\\n`` line endings, a mandatory header row, comma
-separation and 12 significant digits.  The JSON document is a single object
-with ``meta`` (version, command, fully resolved config, UTC timestamp) and
-``data`` mirroring the CSV columns.  SVG plots are version 1.1, one polyline
-per series inside an 800x600 viewBox, with no external assets, so they render
-deterministically and diff cleanly.
+Every number a CSV holds is formatted once, by :func:`cells`, into a table:
+an ordered mapping of column name to cell strings.  CSV files are UTF-8 with
+``\\n`` line endings, a mandatory header row, comma separation and 12
+significant digits; a scalar record is a one-row table.  The JSON document is
+a single object with ``meta`` (version, command, fully resolved config, UTC
+timestamp) and ``data``.  For a table ``data`` mirrors the CSV columns,
+parsed back from the same cells (:func:`csv_mirror`); a record's ``data``
+holds full-precision floats and may add more, such as the final state.  SVG
+plots are version 1.1, one polyline per series inside an 800x600 viewBox,
+with no external assets, so they render deterministically and diff cleanly.
 """
 
 import json
@@ -29,33 +33,16 @@ _PALETTE = (
 )
 
 
-def format_number(x: float) -> str:
-    return _FMT % float(x)
+def cells(values) -> "list[str]":
+    """A column's CSV cells: each value to 12 significant digits."""
+    return [_FMT % v for v in np.asarray(values, dtype=float).tolist()]
 
 
-def write_csv(
-    path: Path,
-    axis_name: str,
-    axis_values: np.ndarray,
-    columns: "dict[str, np.ndarray]",
-) -> None:
-    """One axis column plus one column per series metric."""
-    for name, values in columns.items():
-        if len(values) != len(axis_values):
-            raise ValueError(f"column {name!r} length does not match the axis")
-    lines = [",".join([axis_name, *columns.keys()])]
-    for i, x in enumerate(axis_values):
-        row = [format_number(x)]
-        row.extend(format_number(values[i]) for values in columns.values())
-        lines.append(",".join(row))
+def write_csv(path: Path, table: "dict[str, list[str]]") -> None:
+    """Header row, then one row per index of the equally long cell columns."""
+    rows = zip(*table.values(), strict=True)
+    lines = [",".join(table), *(",".join(row) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_record_csv(path: Path, record: "dict[str, float]") -> None:
-    """Single-row CSV for scalar outcomes (one header line, one value line)."""
-    header = ",".join(record.keys())
-    row = ",".join(format_number(v) for v in record.values())
-    Path(path).write_text(header + "\n" + row + "\n", encoding="utf-8")
 
 
 def read_csv(path: Path) -> "tuple[list[str], np.ndarray]":
@@ -80,12 +67,9 @@ def write_json(path: Path, meta: dict, data: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def csv_mirror(axis_name: str, axis_values, columns: "dict[str, np.ndarray]") -> dict:
-    """JSON ``data`` block holding the same numbers as the CSV columns."""
-    data = {axis_name: [float(_FMT % v) for v in axis_values]}
-    for name, values in columns.items():
-        data[name] = [float(_FMT % v) for v in values]
-    return data
+def csv_mirror(table: "dict[str, list[str]]") -> dict:
+    """JSON ``data`` block holding the numbers of a table's cells."""
+    return {name: list(map(float, column)) for name, column in table.items()}
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
@@ -115,10 +99,10 @@ def svg_line_plot(
     pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else 0.05
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    def sx(v: float) -> float:
+    def sx(v):
         return left + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(v: float) -> float:
+    def sy(v):
         return top + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -162,11 +146,11 @@ def svg_line_plot(
         f'transform="rotate(-90 22 {top + plot_h / 2:.1f})">{y_label}</text>'
     )
 
+    px = sx(x).tolist()
     for k, (label, values) in enumerate(series.items()):
         color = _PALETTE[k % len(_PALETTE)]
-        points = " ".join(
-            f"{sx(float(xv)):.2f},{sy(float(yv)):.2f}" for xv, yv in zip(x, values)
-        )
+        py = sy(np.asarray(values, dtype=float)).tolist()
+        points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'

@@ -60,7 +60,9 @@ class SweepSpec:
     fidelity over time vs s/g) or "dephasing" (fidelity vs g*t for several
     dephasing rates at fixed p).  p_values lists the measurement strengths
     to overlay; the unmeasured baseline (p = q = 0, sigma_z still applied)
-    is prepended unless include_baseline is off.
+    is prepended unless include_baseline is off.  Each value of p_values and
+    gamma_phi_over_g labels its series as %g prints it, so values that print
+    alike are rejected.
     """
 
     kind: str
@@ -73,7 +75,6 @@ class SweepSpec:
     gamma_phi_over_g: tuple = (0.0, 0.01, 0.1, 1.0)
     t_max: float | None = None
     coarse_points: int = 120
-    apply_sigma_z: bool = True
 
     def __post_init__(self):
         if self.kind not in ("time", "decay", "dephasing"):
@@ -83,6 +84,10 @@ class SweepSpec:
         check_strength((*self.p_values, self.p))
         if not all(rate >= 0 for rate in self.gamma_phi_over_g):
             raise ValueError("gamma-phi-over-g must be non-negative")
+        for key, values in (("p", self.p_values), ("gamma-phi-over-g", self.gamma_phi_over_g)):
+            labels = [f"{v:g}" for v in values]  # as the series labels print them
+            if len(set(labels)) < len(labels):
+                raise ValueError(f"{key} values must print distinct labels, got {', '.join(labels)}")
         if self.t_max is not None and not self.t_max > 0:
             raise ValueError("t-max must be positive")
         if self.coarse_points < 100:
@@ -103,10 +108,6 @@ class SweepResult:
 
     def success(self, label: str) -> np.ndarray:
         return self.series[label][:, 1]
-
-    def columns(self, metric: str) -> "dict[str, np.ndarray]":
-        col = {"fidelity": 0, "success": 1}[metric]
-        return {f"{metric}[{label}]": data[:, col] for label, data in self.series.items()}
 
 
 def _series_labels(spec: SweepSpec) -> list[tuple[str, float, bool]]:
@@ -164,9 +165,7 @@ def time_sweep(spec: SweepSpec) -> SweepResult:
     times = spec.grid.values()
     series = {}
     for label, p, formula in _series_labels(spec):
-        fidelity, success = closed_form_outcome(
-            spec.qubit, p, spec.s_over_g, times, formula, spec.apply_sigma_z
-        )
+        fidelity, success = closed_form_outcome(spec.qubit, p, spec.s_over_g, times, formula)
         series[label] = np.column_stack([fidelity, success])
     return SweepResult("gt", times, series)
 
@@ -199,12 +198,10 @@ def decay_sweep(spec: SweepSpec) -> SweepResult:
     formula = np.tile([rule for _, _, rule in labels], len(ratios))[:, None]
 
     def fidelity(t):
-        return closed_form_outcome(spec.qubit, p, s, t, formula, spec.apply_sigma_z)[0]
+        return closed_form_outcome(spec.qubit, p, s, t, formula)[0]
 
     t_star, f_max = _best_over_time(fidelity, t_max, spec.coarse_points, 1e-6)
-    _, success = closed_form_outcome(
-        spec.qubit, p[:, 0], s[:, 0], t_star, formula[:, 0], spec.apply_sigma_z
-    )
+    _, success = closed_form_outcome(spec.qubit, p[:, 0], s[:, 0], t_star, formula[:, 0])
     rows = np.column_stack([f_max, success]).reshape(len(ratios), len(labels), 2)
     series = {label: rows[:, j] for j, (label, _, _) in enumerate(labels)}
     return SweepResult("s_over_g", ratios, series)
@@ -229,7 +226,7 @@ def dephasing_sweep(spec: SweepSpec) -> SweepResult:
         states, log_lambda_sq, _ = _evolved_state(protocol, times)
         keep = 1.0 - spec.p
         fidelity, success = reversal_outcome(
-            spec.qubit, *_target_entries(states), keep, keep * np.exp(-log_lambda_sq), spec.apply_sigma_z
+            spec.qubit, *_target_entries(states), keep, keep * np.exp(-log_lambda_sq)
         )
         series[f"gphi={gamma_ratio:g}g"] = np.column_stack([fidelity, success])
     return SweepResult("gt", times, series)

@@ -372,6 +372,21 @@ def test_non_finite_input_rejected(tmp_path, capsys, flags, key):
     assert f"invalid value for {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["fig2", "--p", "0.1,0.10000001"], "p"),
+        (["fig3", "--p", "0.4,0.4"], "p"),
+        (["fig4", "--gamma-phi-over-g", "0.5,0.5000001"], "gamma-phi-over-g"),
+    ],
+)
+def test_series_with_one_label_rejected(tmp_path, capsys, flags, key):
+    # each value labels a column by %g; two that print alike would share one
+    assert run_cli(flags + ["--output-dir", tmp_path]) == 3
+    assert f"{key} values must print distinct labels" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_retired_stepper_flags_are_usage_errors(tmp_path, capsys):
     for flag in ("--step-size", "--tolerance"):
         assert run_cli(["evolve", flag, "0.01", "--output-dir", tmp_path]) == 2

@@ -2,22 +2,22 @@ import json
 
 import numpy as np
 
+import pytest
+
 from qstsim.output import (
+    cells,
     csv_mirror,
-    format_number,
     make_meta,
     read_csv,
     svg_line_plot,
     write_csv,
     write_json,
-    write_record_csv,
 )
 
 
-def test_format_number_significant_digits():
-    assert format_number(1 / 3) == "0.333333333333"
-    assert format_number(1.0) == "1"
-    assert format_number(1e-7) == "1e-07"
+def test_cells_significant_digits():
+    assert cells([1 / 3, 1.0, 1e-7]) == ["0.333333333333", "1", "1e-07"]
+    assert cells(np.array([1 / 3])) == ["0.333333333333"]
 
 
 def test_csv_round_trip(tmp_path):
@@ -27,7 +27,7 @@ def test_csv_round_trip(tmp_path):
         "fidelity[p=0.8]": np.array([0.123456789012345, 1 / 3, 1e-12]),
         "success[p=0.8]": np.array([1.0, 0.25, 2 / 7]),
     }
-    write_csv(path, "gt", axis, columns)
+    write_csv(path, {"gt": cells(axis), **{name: cells(col) for name, col in columns.items()}})
     headers, values = read_csv(path)
     assert headers == ["gt", "fidelity[p=0.8]", "success[p=0.8]"]
     for j, name in enumerate(headers[1:], start=1):
@@ -38,7 +38,7 @@ def test_csv_round_trip(tmp_path):
 
 def test_csv_format_details(tmp_path):
     path = tmp_path / "table.csv"
-    write_csv(path, "x", np.array([1.0, 2.0]), {"y": np.array([3.0, 4.0])})
+    write_csv(path, {"x": cells(np.array([1.0, 2.0])), "y": cells(np.array([3.0, 4.0]))})
     raw = path.read_bytes().decode("utf-8")
     assert raw == "x,y\n1,3\n2,4\n"
     assert "\r" not in raw
@@ -46,14 +46,32 @@ def test_csv_format_details(tmp_path):
 
 def test_record_csv(tmp_path):
     path = tmp_path / "record.csv"
-    write_record_csv(path, {"fidelity": 0.5, "q_used": 0.25})
+    write_csv(path, {"fidelity": cells([0.5]), "q_used": cells([0.25])})
     assert path.read_text() == "fidelity,q_used\n0.5,0.25\n"
+
+
+def test_csv_rejects_ragged_columns(tmp_path):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, {"x": cells([1.0, 2.0]), "y": cells([3.0])})
+    assert not path.exists()
+
+
+def test_json_mirror_holds_the_csv_numbers(tmp_path):
+    path = tmp_path / "table.csv"
+    table = {"gt": cells([0.0, 0.1]), "fidelity[p=0]": cells([1 / 3, 2 / 3])}
+    write_csv(path, table)
+    headers, values = read_csv(path)
+    mirror = csv_mirror(table)
+    assert list(mirror) == headers
+    assert mirror == {name: values[:, j].tolist() for j, name in enumerate(headers)}
+    assert mirror["fidelity[p=0]"] == [0.333333333333, 0.666666666667]
 
 
 def test_json_structure(tmp_path):
     path = tmp_path / "out.json"
     meta = make_meta("0.1.0", "fig2", {"command": "fig2", "alpha": "0.6"})
-    data = csv_mirror("gt", [0.0, 1.0], {"fidelity[p=0]": np.array([0.25, 0.7])})
+    data = csv_mirror({"gt": cells([0.0, 1.0]), "fidelity[p=0]": cells(np.array([0.25, 0.7]))})
     write_json(path, meta, data)
     payload = json.loads(path.read_text())
     assert set(payload) == {"meta", "data"}
