@@ -22,7 +22,6 @@ from qstsim import (
     QubitAmplitudes,
     SystemParams,
     full_transfer_time,
-    optimize_q,
     run_protocol,
 )
 
@@ -43,17 +42,11 @@ for p in (0.0, 0.2, 0.4, 0.6, 0.8, 0.95):
     )
 
 print("\nclosed-form rule vs exactly optimal reversal at p = 0.8:")
-formula = run_protocol(
-    ProtocolSpec(qubit=qubit, params=params, p=0.8, transfer_time=t_star)
-)
-spec = ProtocolSpec(
-    qubit=qubit, params=params, p=0.8, q_rule="fixed", q_value=0.0,
-    transfer_time=t_star,
-)
-q_opt, f_opt = optimize_q(spec)
+formula_spec = ProtocolSpec(qubit=qubit, params=params, p=0.8, transfer_time=t_star)
+formula = run_protocol(formula_spec)
+optimal = run_protocol(replace(formula_spec, q_rule="optimal"))
 print(f"  rule:    q = {formula.q_used:.6f}  ->  F = {formula.fidelity:.6f}")
-print(f"  optimal: q = {q_opt:.6f}  ->  F = {f_opt:.6f}")
-optimal = run_protocol(replace(spec, q_rule="optimal"))
+print(f"  optimal: q = {optimal.q_used:.6f}  ->  F = {optimal.fidelity:.6f}")
 print(
     f"  the extra fidelity costs success probability: "
     f"{optimal.reversal_success:.3e} vs {formula.reversal_success:.3e}"

@@ -38,7 +38,6 @@ from .protocol import (
     ProtocolSpec,
     fidelity_to_target,
     full_transfer_time,
-    optimize_q,
     q_formula,
     run_protocol,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "liouvillian",
     "m0_operator",
     "m1_operator",
-    "optimize_q",
     "physicality_violations",
     "q_formula",
     "reversal_operator",

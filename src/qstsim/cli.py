@@ -72,6 +72,13 @@ def _parse_float(text: str) -> float:
     return _finite(float(text))
 
 
+def _parse_nonnegative(text: str) -> float:
+    value = _parse_float(text)
+    if not value >= 0:
+        raise ValueError(f"must be non-negative, got {value!r}")
+    return value
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "1", "yes", "on"):
@@ -154,17 +161,17 @@ _QUBIT_OPTS = (
 )
 _P_OPT = Option("p", _parse_float, 0.0, "pre-transfer measurement strength")
 _RATE_OPTS = (
-    Option("s-over-g", _parse_float, None, "set kappa, gamma1, gamma2 to this common value (units of g_ref)"),
+    Option("s-over-g", _parse_nonnegative, None, "set kappa, gamma1, gamma2 to this common value (units of g_ref)"),
     Option("g-over-s", _parse_float, None, "reciprocal way to give s-over-g"),
-    Option("kappa-over-g", _parse_float, None, "resonator decay rate"),
-    Option("gamma1-over-g", _parse_float, None, "qubit-1 emission rate"),
-    Option("gamma2-over-g", _parse_float, None, "qubit-2 emission rate"),
-    Option("gamma-phi-over-g", _parse_float, 0.0, "qubit dephasing rate"),
-    Option("g1", _parse_float, 1.0, "qubit-1 coupling"),
+    Option("kappa-over-g", _parse_nonnegative, None, "resonator decay rate"),
+    Option("gamma1-over-g", _parse_nonnegative, None, "qubit-1 emission rate"),
+    Option("gamma2-over-g", _parse_nonnegative, None, "qubit-2 emission rate"),
+    Option("gamma-phi-over-g", _parse_nonnegative, 0.0, "qubit dephasing rate"),
+    Option("g1", _parse_float, 1.0, "qubit-1 coupling; g_ref = max(g1, g2)"),
     Option("g2", _parse_float, 1.0, "qubit-2 coupling"),
 )
 _REVERSAL_OPTS = (
-    Option("gt", _parse_float, None, "reversal time (g*t); default: full transfer"),
+    Option("gt", _parse_nonnegative, None, "reversal time (g*t); default: full transfer"),
     Option("engine", _parse_choice("analytic", "numeric"), "analytic", "evolution engine"),
     Option("sigma-z", _parse_bool, True, "apply the sigma_z correction"),
 )
@@ -212,9 +219,15 @@ def _qubit(values) -> QubitAmplitudes:
 
 
 def _system_params(values) -> SystemParams:
+    """The system in units of g_ref = max(g1, g2): the couplings are divided
+    by it, and the rate keys and gt are already given in its units."""
+    g1, g2 = values["g1"], values["g2"]
+    g_ref = max(g1, g2)
+    if g_ref > 0:  # else SystemParams rejects the couplings
+        g1, g2 = g1 / g_ref, g2 / g_ref
     return SystemParams(
-        g1=values["g1"],
-        g2=values["g2"],
+        g1=g1,
+        g2=g2,
         kappa=values["kappa-over-g"],
         gamma1=values["gamma1-over-g"],
         gamma2=values["gamma2-over-g"],
@@ -231,22 +244,26 @@ def _build_evolve(values) -> "tuple[SystemParams, QubitAmplitudes, AxisGrid]":
 
 
 def _build_protocol(values) -> ProtocolSpec:
-    """The spec of protocol, or of optimize-q, which has no q-rule and gets a
-    fixed q = 0 that optimize_q ignores.  The resolved reversal time is
-    written back to gt, so that meta.config replays it."""
+    """The spec of protocol, or of optimize-q, which has no q-rule and runs
+    the optimal one.  The resolved reversal time is written back to gt, so
+    that meta.config replays it."""
     params = _system_params(values)
-    gt = values["gt"]
+    q = values.get("q")
+    if values.get("q-rule") == "fixed" and (q is None or not 0.0 <= q < 1.0):
+        raise ValueError("q-rule 'fixed' needs 'q' in [0, 1)")
+    if values["gt"] is None and params.g1 != params.g2:
+        raise ValueError("'gt' must be given when g1 != g2")
     spec = ProtocolSpec(
         qubit=_qubit(values),
         params=params,
         p=values["p"],
-        q_rule=values.get("q-rule", "fixed"),
-        q_value=values.get("q", 0.0),
-        transfer_time=None if gt is None else float(gt) / params.g_ref,
+        q_rule=values.get("q-rule", "optimal"),
+        q_value=q,
+        transfer_time=values["gt"],
         engine=values["engine"],
         apply_sigma_z=values["sigma-z"],
     )
-    values["gt"] = spec.transfer_time * params.g_ref
+    values["gt"] = spec.transfer_time
     return spec
 
 
@@ -311,7 +328,7 @@ def _run_evolve(cfg: RunConfig) -> dict:
     params, qubit, grid = cfg.spec
     pre = apply_measurement_qubit1(initial_state(qubit), cfg.values["p"])
     gts = grid.values()
-    states = integrate(params, pre.state, gts / params.g_ref)
+    states = integrate(params, pre.state, gts)
     series = {f"pop_{name}": states[:, i, i].real for name, i in _LEVELS.items()}
     table = {"gt": cells(gts), **{name: cells(col) for name, col in series.items()}}
     for (a, i), (b, j) in itertools.combinations(_LEVELS.items(), 2):
@@ -342,7 +359,7 @@ def _run_protocol(cfg: RunConfig) -> dict:
 
 
 def _run_optimize_q(cfg: RunConfig) -> dict:
-    strength, fidelity, _, _, q = _candidates(cfg.spec, "optimal")[0]
+    strength, fidelity, _, _, q = _candidates(cfg.spec)[0]
     best = pick_best(strength, fidelity)
     record = {"q_opt": q[best], "fidelity_opt": fidelity[best], "gt": cfg.values["gt"]}
     if cfg.spec.params.equal_decay_rate() is not None:  # the closed-form q comes last
@@ -605,17 +622,27 @@ def _resolve(values: "dict[str, object]", explicit: "set[str]") -> "list[str]":
     # normalize the qubit amplitudes; flags are often 4-digit decimals.
     # Amplitudes already normalized to within a few ulp, as replayed from
     # meta.config, keep their bits: dividing again would move the last
-    # digits and, through a flat optimum, the replayed results.
-    alpha = values.get("alpha")
-    beta = values.get("beta")
-    if alpha is not None and beta is not None:
-        norm = math.sqrt(float(alpha) ** 2 + abs(complex(beta)) ** 2)
-        if not (norm > 0 and math.isfinite(norm)):
-            errors.append("invalid amplitudes: alpha^2 + |beta|^2 must be positive")
-        elif abs(norm - 1.0) > _NORM_SLACK:
-            values["alpha"] = float(alpha) / norm
-            values["beta"] = complex(beta) / norm
+    # digits and, through a flat optimum, the replayed results.  Amplitudes
+    # whose squares overflow or leave the normal range are first divided
+    # by the largest of their parts.
+    alpha, beta = float(values["alpha"]), complex(values["beta"])
+    scale = max(abs(alpha), abs(beta.real), abs(beta.imag))
+    if scale > 0 and not sys.float_info.min <= _square_norm(alpha, beta) < math.inf:
+        alpha, beta = alpha / scale, beta / scale
+    norm = math.sqrt(_square_norm(alpha, beta))
+    if not norm > 0:
+        errors.append("invalid amplitudes: alpha^2 + |beta|^2 must be positive")
+    elif abs(norm - 1.0) > _NORM_SLACK:
+        alpha, beta = alpha / norm, beta / norm
+    values["alpha"], values["beta"] = alpha, beta
     return errors
+
+
+def _square_norm(alpha: float, beta: complex) -> float:
+    try:
+        return alpha**2 + abs(beta) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def main(argv: "list[str] | None" = None) -> int:

@@ -50,20 +50,10 @@ class SystemParams:
         if not (self.g1 >= 0 and self.g2 >= 0):
             raise ValueError("couplings g1 and g2 must be non-negative")
         if self.g1 == 0 and self.g2 == 0:
-            raise ValueError("at least one coupling must be positive")
+            raise ValueError("at least one coupling, g1 or g2, must be positive")
         for name in ("kappa", "gamma1", "gamma2", "gamma_phi"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"decay rate {name} must be non-negative")
-
-    @property
-    def r(self) -> float:
-        """Excitation-exchange frequency sqrt(g1^2 + g2^2)."""
-        return float(np.hypot(self.g1, self.g2))
-
-    @property
-    def g_ref(self) -> float:
-        """Reference coupling used to scale dimensionless times."""
-        return max(self.g1, self.g2)
 
     def equal_decay_rate(self) -> float | None:
         """Common rate s when kappa = gamma1 = gamma2 exactly, else None."""

@@ -22,14 +22,16 @@ def golden_section_max_rows(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarr
 
     f maps an array of abscissae, one entry per row and shaped like lo, to
     the array of values.  Each bracket shrinks by the golden ratio per step
-    until its width drops below tol; a row that is done keeps its state
-    while the others go on.  Returns the better interior point of each row
-    and its value.
+    until its width drops below tol, or below four ulps of its larger
+    initial endpoint, where rounding would stall it; a row that is done
+    keeps its state while the others go on.  Returns the better interior
+    point of each row and its value.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     if np.any(hi < lo):
         raise ValueError("need lo <= hi")
+    tol = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = np.array(f(c), dtype=float), np.array(f(d), dtype=float)
@@ -59,7 +61,7 @@ def golden_section_max_rows(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarr
 
 
 def grid_then_golden_max_rows(
-    f, points: np.ndarray, tol: float, first_lo: float | None = None
+    f, points: np.ndarray, tol: float, first_lo: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scan every row on one grid, then golden-section refine around each
     row's best point.
@@ -67,11 +69,10 @@ def grid_then_golden_max_rows(
     f maps an array of abscissae whose leading axis indexes the rows to the
     array of values; the scan calls it once on ``points[None, :]``.  The
     refinement is bracketed by the best point's grid neighbours, or from
-    first_lo (default: the first grid point) when the best point is the
-    first, and never returns a value below the best grid sample.  Ties
-    within 1e-12 go to the smallest abscissa, on the grid and between the
-    grid and the refined candidate.  A non-finite value on the grid raises
-    FloatingPointError.
+    first_lo when the best point is the first, and never returns a value
+    below the best grid sample.  Ties within 1e-12 go to the smallest
+    abscissa, on the grid and between the grid and the refined candidate.
+    A non-finite value on the grid raises FloatingPointError.
     """
     points = np.asarray(points, dtype=float)
     values = f(points[None, :])
@@ -79,9 +80,7 @@ def grid_then_golden_max_rows(
         raise FloatingPointError("objective is not finite on the scan grid")
     best = values.max(axis=1)
     idx = np.argmax(values >= (best - _TIE)[:, None], axis=1)
-    lo = points[np.maximum(idx - 1, 0)]
-    if first_lo is not None:
-        lo = np.where(idx == 0, first_lo, lo)
+    lo = np.where(idx == 0, first_lo, points[idx - 1])
     hi = points[np.minimum(idx + 1, len(points) - 1)]
     x_grid = points[idx]
     x_ref, f_ref = golden_section_max_rows(f, lo[:, None], hi[:, None], tol)

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-SIGNIFICANT_DIGITS = 12
 _FMT = "%.12g"
 
 _PALETTE = (
@@ -45,14 +44,6 @@ def write_csv(path: Path, table: "dict[str, list[str]]") -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_csv(path: Path) -> "tuple[list[str], np.ndarray]":
-    """Parse a CSV written by :func:`write_csv`; returns (headers, values)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    headers = lines[0].split(",")
-    values = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
-    return headers, values
-
-
 def make_meta(version: str, command: str, config: "dict[str, str]") -> dict:
     return {
         "version": version,
@@ -72,21 +63,16 @@ def csv_mirror(table: "dict[str, list[str]]") -> dict:
     return {name: list(map(float, column)) for name, column in table.items()}
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
-    return np.linspace(lo, hi, count)
-
-
 def svg_line_plot(
     title: str,
     x_label: str,
     y_label: str,
     x: np.ndarray,
     series: "dict[str, np.ndarray]",
-    width: int = 800,
-    height: int = 600,
 ) -> str:
     """Render one polyline per series with axes, tick labels and a legend."""
     x = np.asarray(x, dtype=float)
+    width, height = 800, 600
     left, right, top, bottom = 80, 24, 48, 64
     plot_w = width - left - right
     plot_h = height - top - bottom
@@ -116,7 +102,7 @@ def svg_line_plot(
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
-    for tick in _ticks(x_lo, x_hi):
+    for tick in np.linspace(x_lo, x_hi, 6):
         px = sx(tick)
         parts.append(
             f'<line x1="{px:.2f}" y1="{top + plot_h}" x2="{px:.2f}" '
@@ -126,7 +112,7 @@ def svg_line_plot(
             f'<text x="{px:.2f}" y="{top + plot_h + 22}" text-anchor="middle" '
             f'font-size="12" font-family="sans-serif">{tick:.3g}</text>'
         )
-    for tick in _ticks(y_lo, y_hi):
+    for tick in np.linspace(y_lo, y_hi, 6):
         py = sy(tick)
         parts.append(
             f'<line x1="{left - 6}" y1="{py:.2f}" x2="{left}" y2="{py:.2f}" '

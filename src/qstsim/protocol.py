@@ -182,11 +182,11 @@ _LOG_W_MIN = -40.0  # the optimum's endpoint ln(lambda^2 (1 - q)), near its limi
 _LOG_W_MAX = 690.0
 
 
-def _candidates(spec: ProtocolSpec, q_rule: str) -> tuple[tuple, np.ndarray, float]:
-    """The candidate reversals of q_rule, scored on the one scaled state at
-    the transfer time, as arrays (-ln(1 - q), fidelity, reversal success,
-    w = lambda^2 (1 - q), q), the first for ties, as q may round to 1; that
-    state; and the pre-measurement probability.
+def _candidates(spec: ProtocolSpec) -> tuple[tuple, np.ndarray, float]:
+    """The candidate reversals of spec.q_rule, scored on the one scaled
+    state at the transfer time, as arrays (-ln(1 - q), fidelity, reversal
+    success, w = lambda^2 (1 - q), q), the first for ties, as q may round to
+    1; that state; and the pre-measurement probability.
 
     Each candidate is a ln c = ln(1 - q).  fixed: ln(1 - q_value).
     formula: ln(1 - p) - ln lambda^2, as lambda^2 = e^{st}.  optimal: q = 0;
@@ -198,8 +198,8 @@ def _candidates(spec: ProtocolSpec, q_rule: str) -> tuple[tuple, np.ndarray, flo
     """
     (rho,), (log_lambda_sq,), pre_prob = _evolved_state(spec, [spec.transfer_time])
     entries = _target_entries(rho)
-    log_cs = [math.log1p(-spec.q_value)] if q_rule == "fixed" else []
-    if q_rule == "optimal":
+    log_cs = [math.log1p(-spec.q_value)] if spec.q_rule == "fixed" else []
+    if spec.q_rule == "optimal":
         rho00, rho03, rho33, trace = entries
         coefficients = _overlap_coefficients(spec.qubit, rho00, rho03, rho33, spec.apply_sigma_z)
         # Python floats: a root far outside the range overflows to inf quietly
@@ -211,7 +211,7 @@ def _candidates(spec: ProtocolSpec, q_rule: str) -> tuple[tuple, np.ndarray, flo
             u = (m + h) / abs(b * r) if m >= 0.0 else abs(b) * e / (h - m)
             if 0.0 < u and u * u < math.inf:
                 log_cs.append(-2.0 * math.log(u) - log_lambda_sq)
-    if q_rule != "fixed" and spec.params.equal_decay_rate() is not None:
+    if spec.q_rule != "fixed" and spec.params.equal_decay_rate() is not None:
         log_cs.append(math.log1p(-spec.p) - log_lambda_sq)
     log_c = np.minimum(log_cs, 0.0)  # a stationary point at q < 0 is the q = 0 one
     w = np.exp(np.minimum(log_lambda_sq + log_c, _LOG_W_MAX))
@@ -228,7 +228,7 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolOutcome:
     diag(1, 1, 1, -+u) rho' diag(1, 1, 1, -+u) of the scaled state rho',
     with u = 1 / sqrt(w), normalized; the sign is the sigma_z.
     """
-    (strength, fidelity, success, w, q), rho, pre_prob = _candidates(spec, spec.q_rule)
+    (strength, fidelity, success, w, q), rho, pre_prob = _candidates(spec)
     best = pick_best(strength, fidelity)
     u = w[best] ** -0.5
     weights = np.array([1.0, 1.0, 1.0, -u if spec.apply_sigma_z else u])
@@ -241,12 +241,3 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolOutcome:
         reversal_success=success[best],
         success_probability=pre_prob * success[best],
     )
-
-
-def optimize_q(spec: ProtocolSpec) -> tuple[float, float]:
-    """Exact fidelity-maximizing reversal strength at the given time, and
-    its fidelity (see _candidates); any q_rule on the spec is ignored.
-    """
-    strength, fidelity, _, _, q = _candidates(spec, "optimal")[0]
-    best = pick_best(strength, fidelity)
-    return q[best], fidelity[best]

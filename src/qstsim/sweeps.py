@@ -45,6 +45,8 @@ class AxisGrid:
             raise ValueError("grid-start must be below grid-stop")
         if self.log and self.start <= 0:
             raise ValueError("a log grid needs a positive grid-start")
+        if not np.all(np.diff(self.values()) > 0):
+            raise ValueError("grid-points too many for the span: the grid values repeat")
 
     def values(self) -> np.ndarray:
         if self.log:
@@ -118,17 +120,9 @@ def _series_labels(spec: SweepSpec) -> list[tuple[str, float, bool]]:
     return labels
 
 
-def closed_form_outcome(
-    qubit: QubitAmplitudes,
-    p,
-    s,
-    t,
-    formula,
-    apply_sigma_z: bool = True,
-    g1: float = 1.0,
-    g2: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fidelity and reversal success of the closed-form protocol, elementwise.
+def closed_form_outcome(qubit: QubitAmplitudes, p, s, t, formula) -> tuple[np.ndarray, np.ndarray]:
+    """Fidelity and reversal success of the closed-form protocol at g = 1,
+    with the sigma_z applied, elementwise.
 
     p, s, t and formula broadcast together: the pre-measurement strength,
     the common decay rate, the reversal time and whether the reversal uses
@@ -141,7 +135,7 @@ def closed_form_outcome(
     success goes to 0 as e^{-st} underflows.  A value that is still not
     finite raises FloatingPointError.
     """
-    rho00, k, b, (c2, ic3, c4), half_decay, decay = closed_form_factors(qubit, p, s, t, g1, g2)
+    rho00, k, b, (c2, ic3, c4), half_decay, decay = closed_form_factors(qubit, p, s, t)
     d3 = c4 * np.where(formula, 1.0, half_decay)
     rho33 = b * d3 * d3
     # qubit 1 and photon: the undamped sum on the time axis, then the decay
@@ -149,7 +143,7 @@ def closed_form_outcome(
     keep = 1.0 - np.asarray(p, dtype=float)
     w = np.where(formula, keep, 1.0)
     c = np.where(formula, keep * decay, 1.0)
-    return reversal_outcome(qubit, rho00, k * d3, rho33, trace, w, c, apply_sigma_z)
+    return reversal_outcome(qubit, rho00, k * d3, rho33, trace, w, c)
 
 
 def time_sweep(spec: SweepSpec) -> SweepResult:

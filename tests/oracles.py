@@ -154,7 +154,7 @@ def max_fidelity_over_time(
     if coarse_points < 100:
         raise ValueError("coarse_points must be at least 100")
     if refine_tol is None:
-        refine_tol = 1e-6 / spec.params.g_ref
+        refine_tol = 1e-6 / max(spec.params.g1, spec.params.g2)
 
     fidelity = np.vectorize(
         lambda t: run_protocol(replace(spec, transfer_time=float(t))).fidelity,

@@ -450,6 +450,10 @@ def test_fig4_under_strong_decay(tmp_path, capsys):
         assert np.all(np.isfinite(values)) and np.all((values >= 0) & (values <= 1))
 
 
+# ten points between 1 and the next float: the grid repeats values
+_REPEATING_GRID = ["--grid-start", "1", "--grid-stop", "1.0000000000000002", "--grid-points", "10"]
+
+
 @pytest.mark.parametrize(
     "flags, key",
     [
@@ -466,11 +470,65 @@ def test_fig4_under_strong_decay(tmp_path, capsys):
         (["sweep", "--kind", "dephasing", "--s-over-g", "-2"], "s-over-g"),
         (["fig4", "--gamma-phi-over-g", "0,-1"], "gamma-phi-over-g"),
         (["sweep", "--kind", "dephasing", "--gamma-phi-over-g", "-1"], "gamma-phi-over-g"),
+        (["protocol", "--kappa-over-g", "-1"], "'kappa-over-g'"),
+        (["evolve", "--gamma-phi-over-g", "-1"], "'gamma-phi-over-g'"),
+        (["protocol", "--q-rule", "fixed"], "'q'"),
+        (["protocol", "--q-rule", "fixed", "--q", "1"], "'q'"),
+        (["protocol", "--g1", "1", "--g2", "2"], "'gt'"),
+        (["protocol", "--gt", "-1"], "'gt'"),
+        (["protocol", "--g1", "0", "--g2", "0", "--gt", "1"], "g1"),
+        *(([command, *_REPEATING_GRID], "grid-points") for command in ("evolve", "fig2", "fig3", "fig4")),
     ],
 )
 def test_invalid_ranges_name_their_key(tmp_path, capsys, flags, key):
     assert run_cli(flags + ["--output-dir", tmp_path]) == 3
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["protocol", "--s-over-g", "2", "--p", "0.5"],
+        ["protocol", "--q-rule", "optimal", "--s-over-g", "0.7", "--g2", "0.5", "--gt", "2.5"],
+        ["optimize-q", "--engine", "numeric", "--kappa-over-g", "0.3", "--gamma2-over-g", "1.5"],
+        ["evolve", "--g2", "0.5", "--gamma-phi-over-g", "0.2", "--grid-points", "9"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("g", [2.0, 2.0**-996])
+def test_couplings_set_only_their_ratio(tmp_path, capsys, argv, g):
+    # the rate keys and gt are in units of max(g1, g2), which is divided out
+    # exactly when the couplings are scaled by a power of two
+    g2 = float(argv[argv.index("--g2") + 1]) if "--g2" in argv else 1.0
+    scaled = [*argv, "--g1", repr(g), "--g2", repr(g * g2)]
+    for run, flags in (("unit", argv), ("scaled", scaled)):
+        assert run_cli(flags + ["--formats", "csv", "--output-dir", tmp_path / run]) == 0
+    names = sorted(path.name for path in (tmp_path / "unit").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "scaled").iterdir())
+    for name in names:
+        assert (tmp_path / "unit" / name).read_bytes() == (tmp_path / "scaled" / name).read_bytes()
+
+
+def test_fig3_searches_a_window_past_the_float_spacing(tmp_path, capsys):
+    # near t = 1e10 the floats are farther apart than the golden tolerance
+    argv = ["fig3", "--t-max", "1e10", "--grid-points", "3", "--formats", "csv"]
+    assert run_cli(argv + ["--output-dir", tmp_path]) == 0
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, normalized",
+    [
+        ("1e200", "1e200", (math.sqrt(0.5), math.sqrt(0.5))),  # the squares overflow
+        ("3e-170", "4e-170", (0.6, 0.8)),  # the squares underflow
+        ("1e308", "1e308j", (math.sqrt(0.5), 1j * math.sqrt(0.5))),
+    ],
+)
+def test_amplitudes_far_from_unit_scale_normalize(tmp_path, capsys, alpha, beta, normalized):
+    argv = ["protocol", "--alpha", alpha, "--beta", beta]
+    values = parse_config(argv).values
+    assert abs(values["alpha"] - normalized[0]) <= 1e-15
+    assert abs(values["beta"] - normalized[1]) <= 1e-15
+    assert run_cli(argv + ["--output-dir", tmp_path]) == 0
 
 
 def test_retired_optimize_q_search_keys(tmp_path, capsys):

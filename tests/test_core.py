@@ -121,9 +121,6 @@ def test_system_params_validation():
         SystemParams(g1=0.0, g2=0.0)
     with pytest.raises(ValueError):
         SystemParams(g1=1.0, g2=1.0, kappa=-0.1)
-    params = SystemParams(g1=3.0, g2=4.0)
-    assert params.r == 5.0
-    assert params.g_ref == 4.0
 
 
 def test_equal_decay_rate():

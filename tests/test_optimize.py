@@ -14,8 +14,9 @@ def golden_section_max(f, lo, hi, tol):
 
 
 def grid_then_golden_max(f, points, tol):
-    """The one-row case of the lockstep grid-then-golden search."""
-    x, fx = grid_then_golden_max_rows(f, points, tol)
+    """The one-row case of the lockstep grid-then-golden search, bracketed
+    from the first grid point when that point is the best."""
+    x, fx = grid_then_golden_max_rows(f, points, tol, points[0])
     return float(x[0]), float(fx[0])
 
 
@@ -56,6 +57,7 @@ def test_determinism():
 def reference_golden(f, lo, hi, tol):
     """The scalar golden-section loop the lockstep search must reproduce."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     c = hi - inv_phi * (hi - lo)
     d = lo + inv_phi * (hi - lo)
     fc, fd = f(c), f(d)
@@ -103,7 +105,7 @@ def test_grid_rows_match_one_row_searches():
     def well(x, shift):
         return -(x - shift) * (x - shift) * (x - shift - 1.5) * (x - shift - 1.5) + 0.05 * x
 
-    x, fx = grid_then_golden_max_rows(lambda t: well(t, shifts[:, None]), points, 1e-9)
+    x, fx = grid_then_golden_max_rows(lambda t: well(t, shifts[:, None]), points, 1e-9, points[0])
     for i, shift in enumerate(shifts):
         one = grid_then_golden_max(lambda t: well(t, float(shift)), points, 1e-9)
         assert (x[i], fx[i]) == one
@@ -121,5 +123,15 @@ def test_first_lo_opens_the_bracket_below_the_grid():
     peak = lambda x: -(x - 0.05) * (x - 0.05)
     x, _ = grid_then_golden_max_rows(peak, points, 1e-9, first_lo=0.0)
     assert abs(x[0] - 0.05) < 1e-8
-    x, _ = grid_then_golden_max_rows(peak, points, 1e-9)
+    x, _ = grid_then_golden_max_rows(peak, points, 1e-9, first_lo=0.1)
     assert x[0] == 0.1
+
+
+def test_bracket_finer_than_the_floats_ends():
+    # near 1e10 the floats are 2^-19 ~ 1.9e-6 apart, wider than tol: the
+    # bracket stops within four ulps instead of looping forever
+    lo, hi = 1e10 - 5.0, 1e10 + 5.0
+    peak = lambda x: -(x - 1e10 - 0.3) * (x - 1e10 - 0.3)
+    x, _ = golden_section_max(peak, lo, hi, 1e-6)
+    assert abs(x - (1e10 + 0.3)) <= 4 * math.ulp(hi)
+    assert (x, peak(x)) == reference_golden(peak, lo, hi, 1e-6)

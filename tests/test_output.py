@@ -8,11 +8,16 @@ from qstsim.output import (
     cells,
     csv_mirror,
     make_meta,
-    read_csv,
     svg_line_plot,
     write_csv,
     write_json,
 )
+
+
+def read_csv(path):
+    """Headers and the (rows, columns) array of values of a written CSV."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    return header.split(","), np.array([[float(cell) for cell in row.split(",")] for row in rows])
 
 
 def test_cells_significant_digits():

@@ -14,7 +14,6 @@ from qstsim import (
     apply_reversal_qubit2,
     fidelity_to_target,
     full_transfer_time,
-    optimize_q,
     physicality_violations,
     q_formula,
     run_protocol,
@@ -23,7 +22,7 @@ from qstsim import (
 import qstsim.protocol as protocol_module
 from qstsim.protocol import _evolved_state, reversal_outcome
 
-from oracles import nojump_protocol_oracle
+from oracles import nojump_amplitudes, nojump_protocol_oracle
 
 SQRT2 = math.sqrt(2.0)
 BALANCED = QubitAmplitudes(1 / SQRT2, 1 / SQRT2)
@@ -197,12 +196,11 @@ def test_optimize_q_lossless_undoes_exactly():
         qubit=QubitAmplitudes(0.6, 0.8),
         params=SystemParams(1.0, 1.0),
         p=0.37,
-        q_rule="fixed",
-        q_value=0.0,
+        q_rule="optimal",
     )
-    q_opt, f_opt = optimize_q(spec)
-    assert abs(q_opt - 0.37) < 1e-9
-    assert abs(f_opt - 1.0) < 1e-10
+    optimal = run_protocol(spec)
+    assert abs(optimal.q_used - 0.37) < 1e-9
+    assert abs(optimal.fidelity - 1.0) < 1e-10
 
 
 def test_optimize_q_dominates_formula():
@@ -210,13 +208,13 @@ def test_optimize_q_dominates_formula():
     params = equal_rate_params(2.0)
     for alpha in (0.3, 0.6, 0.8):
         qubit = QubitAmplitudes(alpha, math.sqrt(1 - alpha**2))
-        fixed = ProtocolSpec(qubit=qubit, params=params, p=0.8, q_rule="fixed",
-                             q_value=0.0, transfer_time=t)
-        _, f_opt = optimize_q(fixed)
+        optimal = run_protocol(
+            ProtocolSpec(qubit=qubit, params=params, p=0.8, q_rule="optimal", transfer_time=t)
+        )
         formula = run_protocol(
             ProtocolSpec(qubit=qubit, params=params, p=0.8, transfer_time=t)
         )
-        assert f_opt >= formula.fidelity - 1e-12
+        assert optimal.fidelity >= formula.fidelity - 1e-12
 
 
 def test_optimal_q_is_state_dependent():
@@ -225,10 +223,8 @@ def test_optimal_q_is_state_dependent():
     offsets = []
     for alpha in (0.3, 0.6, 0.8):
         qubit = QubitAmplitudes(alpha, math.sqrt(1 - alpha**2))
-        spec = ProtocolSpec(qubit=qubit, params=params, p=0.8, q_rule="fixed",
-                            q_value=0.0, transfer_time=t)
-        q_opt, _ = optimize_q(spec)
-        offsets.append(q_opt - q_formula(0.8, 2.0, t))
+        spec = ProtocolSpec(qubit=qubit, params=params, p=0.8, q_rule="optimal", transfer_time=t)
+        offsets.append(run_protocol(spec).q_used - q_formula(0.8, 2.0, t))
     assert max(offsets) - min(offsets) > 1e-4
 
 
@@ -239,13 +235,10 @@ def test_optimum_never_below_the_formula_under_strong_decay(s, engine):
     # closed-form q rounds to 1; the optimum still has it as a candidate
     spec = ProtocolSpec(
         qubit=QubitAmplitudes(0.6, 0.8), params=equal_rate_params(s), p=0.3,
-        q_rule="fixed", q_value=0.0, engine=engine,
+        q_rule="optimal", engine=engine,
     )
-    _, f_opt = optimize_q(spec)
     formula = run_protocol(replace(spec, q_rule="formula"))
-    optimal = run_protocol(replace(spec, q_rule="optimal"))
-    assert f_opt >= formula.fidelity - 1e-12
-    assert abs(optimal.fidelity - f_opt) <= 1e-12
+    assert run_protocol(spec).fidelity >= formula.fidelity - 1e-12
 
 
 def test_optimal_q_rule_runs_through_protocol():
@@ -281,9 +274,6 @@ def test_optimal_rule_evolves_each_state_once(monkeypatch, engine, evolve):
     assert scaled_flags == [True]
     assert outcome.fidelity > formula.fidelity + 1e-3
     assert outcome.reversal_success < formula.reversal_success
-    scaled_flags.clear()
-    optimize_q(spec)
-    assert scaled_flags == [True]
 
 
 def test_nojump_oracle_matches_hand_amplitudes():
@@ -359,6 +349,80 @@ def test_reversal_outcome_matches_the_reference_channel(entries, qubit, c, sigma
     assert abs(success - (1.0 - q + q * rho[3, 3].real)) <= 1e-12
 
 
+# the whole protocol against the reference channel, for unequal couplings and
+# either sigma_z setting; 1 - q stays above about 1e-4, where the reference's
+# q = 1 - (1 - p) e^{-st} still holds the complement to 1e-12
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    qubit=_amplitudes,
+    p=st.floats(0.0, 0.9),
+    s=st.floats(0.0, 1.0),
+    t=st.floats(0.0, 6.0),
+    formula=st.booleans(),
+    q=st.floats(0.0, 0.999),
+    sigma_z=st.booleans(),
+    g1=st.floats(0.2, 2.0),
+    g2=st.floats(0.2, 2.0),
+)
+def test_run_protocol_matches_the_reference_channel(qubit, p, s, t, formula, q, sigma_z, g1, g2):
+    spec = ProtocolSpec(
+        qubit=qubit,
+        params=SystemParams(g1, g2, s, s, s),
+        p=p,
+        q_rule="formula" if formula else "fixed",
+        q_value=q,
+        transfer_time=t,
+        apply_sigma_z=sigma_z,
+    )
+    outcome = run_protocol(spec)
+    # the no-jump branch by scipy's expm, its lost norm in the ground state
+    psi = nojump_amplitudes(qubit, p, s, t, g1, g2)
+    rho = np.outer(psi, psi.conj())
+    rho[0, 0] += 1.0 - np.vdot(psi, psi).real
+    kept = apply_reversal_qubit2(rho, q_formula(p, s, t) if formula else q, apply_sigma_z=sigma_z)
+    assert abs(outcome.fidelity - fidelity_to_target(kept.state, qubit)) <= 1e-12
+    assert abs(outcome.reversal_success - kept.success_probability) <= 1e-12
+
+
+# the same protocol under strong decay, e^{-st} down to e^{-500}, where the
+# reference channel's q loses its complement: against the closed-form state
+# scored directly (scaled by lambda under the closed-form q, where w = 1 - p;
+# unscaled at q = 0, where w = c = 1), and against the numeric engine
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    qubit=_amplitudes,
+    p=st.floats(0.0, 0.99),
+    s=st.floats(0.0, 50.0),
+    t=st.floats(0.0, 10.0),
+    formula=st.booleans(),
+    sigma_z=st.booleans(),
+    g1=st.floats(0.2, 2.0),
+    g2=st.floats(0.2, 2.0),
+)
+def test_run_protocol_matches_the_closed_form_under_strong_decay(
+    qubit, p, s, t, formula, sigma_z, g1, g2
+):
+    spec = ProtocolSpec(
+        qubit=qubit,
+        params=SystemParams(g1, g2, s, s, s),
+        p=p,
+        q_rule="formula" if formula else "fixed",
+        q_value=None if formula else 0.0,
+        transfer_time=t,
+        apply_sigma_z=sigma_z,
+    )
+    outcome = run_protocol(spec)
+    rho = analytic_rho(qubit, p, s, t, g1, g2, scaled=formula)
+    w, c = (1.0 - p, (1.0 - p) * math.exp(-s * t)) if formula else (1.0, 1.0)
+    fidelity, success = reversal_outcome(
+        qubit, rho[0, 0].real, rho[0, 3], rho[3, 3].real, np.trace(rho).real, w, c, sigma_z
+    )
+    numeric = run_protocol(replace(spec, engine="numeric"))
+    for reference in ((fidelity, success), (numeric.fidelity, numeric.reversal_success)):
+        assert abs(outcome.fidelity - reference[0]) <= 1e-12
+        assert abs(outcome.reversal_success - reference[1]) <= 1e-12
+
+
 def test_reversal_outcome_rejects_an_empty_branch():
     # c = 0 leaves only rho33, which is 0 here: 0/0
     with pytest.raises(FloatingPointError):
@@ -427,7 +491,8 @@ def test_fidelity_to_target_invariant(spec):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(spec=_optimize_specs())
 def test_optimize_q_beats_a_dense_grid(spec):
-    q_opt, f_opt = optimize_q(spec)
+    optimal = run_protocol(replace(spec, q_rule="optimal"))
+    q_opt, f_opt = optimal.q_used, optimal.fidelity
     s = spec.params.equal_decay_rate()
     closed_form = s is not None and q_opt == run_protocol(replace(spec, q_rule="formula")).q_used
     assert 0.0 <= q_opt <= 1.0  # no cap: a stationary point may lie past 1 - 1e-9
@@ -438,8 +503,6 @@ def test_optimize_q_beats_a_dense_grid(spec):
         np.trace(rho_t).real, math.exp(log_lambda_sq) * c, c, spec.apply_sigma_z,
     )
     assert f_opt >= on_grid.max() - 1e-12
-    optimal = run_protocol(replace(spec, q_rule="optimal"))
-    assert optimal.q_used == q_opt and optimal.fidelity == f_opt
     # the reported fidelity is the one the protocol reaches at q_opt.  The
     # closed-form q is reached exactly only on the formula path.  The
     # optimum is a ln(1 - q), and a float q near 1 rounds it: a fixed run
@@ -531,7 +594,8 @@ def _decay_specs(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(spec=_decay_specs())
 def test_optimum_beats_a_log_grid_and_every_rule(spec):
-    q_opt, f_opt = optimize_q(spec)
+    optimal = run_protocol(replace(spec, q_rule="optimal"))
+    q_opt, f_opt = optimal.q_used, optimal.fidelity
     assert 0.0 <= q_opt <= 1.0 and -1e-12 <= f_opt <= 1.0 + 1e-12
     (rho,), (log_lambda_sq,), _ = _evolved_state(spec, [spec.transfer_time])
     # ln(1 - q) from 0 to 40 past the scale of the frame; w is held finite
@@ -564,8 +628,8 @@ def test_optimum_is_continuous_from_equal_rates(qubit, s, p, which):
     for mismatch in mismatches:
         rates = [s, s, s]
         rates[which] *= 1.0 - mismatch
-        spec = ProtocolSpec(qubit, SystemParams(1.0, 1.0, *rates), p, "fixed", 0.0, engine="numeric")
-        optima.append(optimize_q(spec)[1])
-    analytic = optimize_q(ProtocolSpec(qubit, equal_rate_params(s), p, "fixed", 0.0))[1]
+        spec = ProtocolSpec(qubit, SystemParams(1.0, 1.0, *rates), p, "optimal", engine="numeric")
+        optima.append(run_protocol(spec).fidelity)
+    analytic = run_protocol(ProtocolSpec(qubit, equal_rate_params(s), p, "optimal")).fidelity
     assert abs(optima[0] - analytic) <= 1e-9
     assert np.abs(np.diff(optima)).max() <= s * t * mismatches[1] + 1e-9

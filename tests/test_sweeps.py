@@ -284,22 +284,18 @@ _amplitudes = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
     s=st.floats(0.0, 50.0),
     t=st.floats(0.0, 10.0),
     formula=st.booleans(),
-    sigma_z=st.booleans(),
-    g1=st.floats(0.2, 2.0),
-    g2=st.floats(0.2, 2.0),
 )
-def test_closed_form_outcome_matches_run_protocol(qubit, p, s, t, formula, sigma_z, g1, g2):
+def test_closed_form_outcome_matches_run_protocol(qubit, p, s, t, formula):
     spec = ProtocolSpec(
         qubit=qubit,
-        params=SystemParams(g1, g2, s, s, s),
+        params=SystemParams(1.0, 1.0, s, s, s),
         p=p,
         q_rule="formula" if formula else "fixed",
         q_value=None if formula else 0.0,
         transfer_time=t,
-        apply_sigma_z=sigma_z,
     )
     outcome = run_protocol(spec)
-    fidelity, success = closed_form_outcome(qubit, p, s, t, formula, sigma_z, g1, g2)
+    fidelity, success = closed_form_outcome(qubit, p, s, t, formula)
     assert abs(fidelity - outcome.fidelity) <= 1e-12
     assert abs(success - outcome.reversal_success) <= 1e-12
 
