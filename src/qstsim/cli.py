@@ -44,7 +44,7 @@ from .lindblad import integrate
 from .measurement import ZeroProbability, apply_measurement_qubit1
 from .output import cells, csv_mirror, make_meta, svg_line_plot, write_csv, write_json, write_svg
 from .optimize import pick_best
-from .protocol import ProtocolSpec, _candidates, full_transfer_time, run_protocol
+from .protocol import ProtocolSpec, _candidates, run_protocol
 from .sweeps import (
     AxisGrid,
     SweepSpec,
@@ -145,7 +145,6 @@ class Option:
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _NORM_SLACK = 4 * sys.float_info.epsilon
-_T_MAX_DEFAULT = 4.0 * full_transfer_time(1.0)
 
 _OUTPUT_OPTS = (
     Option("output-dir", str, ".", "directory for result files"),
@@ -458,7 +457,7 @@ _COMMANDS = {
             Option("grid-stop", _parse_float, 20.0, "last s/g"),
             Option("grid-points", int, 60, "s/g grid size"),
             Option("log-grid", _parse_bool, True, "log-spaced s/g axis"),
-            Option("t-max", _parse_float, _T_MAX_DEFAULT, "search window for the best time"),
+            Option("t-max", _parse_float, SweepSpec.t_max, "search window for the best time"),
             Option("coarse-points", int, 120, "coarse time-scan size"),
             *_OUTPUT_OPTS,
         ),

@@ -1,95 +1,82 @@
-"""Deterministic scalar maximization: coarse grid scan plus golden-section
-refinement.  No randomness, no external state; identical inputs give
-identical results.
+"""Deterministic scalar maximization: a coarse grid scan, then the root of
+the slope next to the best grid point.  No randomness, no external state;
+identical inputs give identical results.
 
-The searches run on rows: many independent problems of the same shape,
-advanced in lockstep with one vectorized objective call per step.  Each row
-takes exactly the comparisons and arithmetic of a search run on its own, so
-the one-row case is the plain scalar maximizer and a row's result does not
-depend on which other rows share the batch.
+The search runs on rows: many independent problems of the same shape,
+advanced in lockstep with one vectorized objective call per step.  Every
+operation acts on each row alone and a row that is done keeps its bracket,
+so a row's result does not depend on which other rows share the batch.
 """
-
-import math
 
 import numpy as np
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TIE = 1e-12  # values this close count as equal; the smaller abscissa wins
+# the two secant probes sit this share of the bracket, or one float, either
+# side of the secant point
+_SPREAD = 2.0**-16
 
 
-def golden_section_max_rows(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Maxima of unimodal functions on the brackets [lo, hi], one per row.
-
-    f maps an array of abscissae, one entry per row and shaped like lo, to
-    the array of values.  Each bracket shrinks by the golden ratio per step
-    until its width drops below tol, or below four ulps of its larger
-    initial endpoint, where rounding would stall it; a row that is done
-    keeps its state while the others go on.  Returns the better interior
-    point of each row and its value.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    if np.any(hi < lo):
-        raise ValueError("need lo <= hi")
-    tol = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = np.array(f(c), dtype=float), np.array(f(d), dtype=float)
-    active = hi - lo > tol
-    # the state is updated in place, row by row under a mask: with few rows
-    # the cost is per numpy call, and copyto is the cheapest masked one
-    while active.any():
-        left = fc >= fd
-        shrink_hi, shrink_lo = active & left, active > left
-        # keep the left part: hi, d, fd = d, c, fc and probe a new c;
-        # keep the right part: lo, c, fc = c, d, fd and probe a new d
-        np.copyto(hi, d, where=shrink_hi)
-        np.copyto(lo, c, where=shrink_lo)
-        np.copyto(d, c, where=shrink_hi)
-        np.copyto(fd, fc, where=shrink_hi)
-        np.copyto(c, d, where=shrink_lo)
-        np.copyto(fc, fd, where=shrink_lo)
-        probe = np.where(shrink_hi, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
-        value = f(probe)
-        np.copyto(c, probe, where=shrink_hi)
-        np.copyto(fc, value, where=shrink_hi)
-        np.copyto(d, probe, where=shrink_lo)
-        np.copyto(fd, value, where=shrink_lo)
-        active = hi - lo > tol
-    left = fc >= fd
-    return np.where(left, c, d), np.where(left, fc, fd)
-
-
-def grid_then_golden_max_rows(
-    f, points: np.ndarray, tol: float, first_lo: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scan every row on one grid, then golden-section refine around each
-    row's best point.
+def grid_then_root_max_rows(f, points: np.ndarray, first_lo: float) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum of each row over one grid: a scan, then the root of the slope
+    between the row's best grid point and the neighbour its slope points to.
 
     f maps an array of abscissae whose leading axis indexes the rows to the
-    array of values; the scan calls it once on ``points[None, :]``.  The
-    refinement is bracketed by the best point's grid neighbours, or from
-    first_lo when the best point is the first, and never returns a value
-    below the best grid sample.  Ties within 1e-12 go to the smallest
-    abscissa, on the grid and between the grid and the refined candidate.
-    A non-finite value on the grid raises FloatingPointError.
+    pair (values, slopes) of that shape; the scan calls it once on
+    ``points[None, :]``.  A best first point whose slope is not positive is
+    bracketed from first_lo.  A bracket has a positive slope at its lower end
+    and none at its upper end.  Each step probes the midpoint and, a float
+    or more either side, the secant point of the last two probes (or of the
+    bracket's ends), and keeps the first sign change from the left, so a
+    bracket at least halves.  The search ends, at the higher end, when no
+    float lies between the ends; a bracket whose slope does not change sign
+    ends at once at the end the slope points to.  The result never falls
+    below the best grid sample: ties within 1e-12 go to a root, else to the
+    smaller abscissa.  A non-finite value or slope on the grid raises
+    FloatingPointError.
     """
     points = np.asarray(points, dtype=float)
-    values = f(points[None, :])
-    if not np.all(np.isfinite(values)):
+    values, slopes = f(points[None, :])
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(slopes))):
         raise FloatingPointError("objective is not finite on the scan grid")
     best = values.max(axis=1)
     idx = np.argmax(values >= (best - _TIE)[:, None], axis=1)
-    lo = np.where(idx == 0, first_lo, points[idx - 1])
-    hi = points[np.minimum(idx + 1, len(points) - 1)]
-    x_grid = points[idx]
-    x_ref, f_ref = golden_section_max_rows(f, lo[:, None], hi[:, None], tol)
-    x_ref, f_ref = x_ref[:, 0], f_ref[:, 0]
-    # pick_best on the pair (grid, refined), row by row
-    top = np.maximum(best, f_ref)
-    grid_tied = best >= top - _TIE
-    use_refined = (f_ref >= top - _TIE) & (~grid_tied | (x_ref < x_grid))
-    return np.where(use_refined, x_ref, x_grid), np.where(use_refined, f_ref, best)
+    x_grid, rows = points[idx], np.arange(len(idx))
+    rising = slopes[rows, idx] > 0
+    lo = np.where(rising, x_grid, np.where(idx == 0, first_lo, points[idx - 1]))
+    hi = np.where(rising, points[np.minimum(idx + 1, len(points) - 1)], x_grid)
+    (fa, fb), (ga, gb) = (pair.T for pair in f(np.column_stack([lo, hi])))
+    root = (ga > 0) & (gb <= 0)
+    x_end, f_end = np.where(ga > 0, hi, lo), np.where(ga > 0, fb, fa)
+    # the ends of each bracket as (abscissa, value, slope) columns
+    lower, upper = np.stack([lo, fa, ga]), np.stack([hi, fb, gb])
+    u, gu, v, gv = lo, ga, hi, gb  # the last pair of secant probes
+    while True:
+        (a, _, ga), (b, _, gb) = lower, upper
+        width = b - a
+        mid = a + 0.5 * width
+        active = root & (a < mid) & (mid < b)
+        if not active.any():
+            break
+        with np.errstate(invalid="ignore", divide="ignore"):  # a failed secant is replaced
+            secant = u - gu * (v - u) / (gv - gu)
+            secant = np.where((a < secant) & (secant < b), secant, a - ga * width / (gb - ga))
+        spread = np.maximum(width * _SPREAD, np.spacing(np.maximum(-a, b)))
+        probes = np.stack([secant - spread, secant + spread, mid], axis=1)
+        probes = np.minimum(np.maximum(probes, a[:, None]), b[:, None])
+        # a row that is done probes its own lower end, which keeps its bracket
+        probes = np.where(active[:, None], probes, a[:, None])
+        f_probes, g_probes = f(probes)
+        u, v, gu, gv = probes[:, 0], probes[:, 1], g_probes[:, 0], g_probes[:, 1]
+        order = np.argsort(probes, axis=1)
+        probed = np.stack([probes, f_probes, g_probes])[:, rows[:, None], order]
+        ends = np.concatenate([lower[:, :, None], probed, upper[:, :, None]], axis=2)
+        right = np.argmax(ends[2] <= 0, axis=1)  # the first slope that is not positive
+        lower, upper = ends[:, rows, right - 1], ends[:, rows, right]
+    (a, fa, _), (b, fb, _) = lower, upper
+    x = np.where(root, np.where(fa >= fb, a, b), x_end)
+    fx = np.where(root, np.maximum(fa, fb), f_end)
+    use = (fx >= best - _TIE) & (root | (x < x_grid))
+    return np.where(use, x, x_grid), np.where(use, fx, best)
 
 
 def pick_best(abscissae: np.ndarray, values: np.ndarray) -> int:

@@ -216,7 +216,8 @@ def _candidates(spec: ProtocolSpec) -> tuple[tuple, np.ndarray, float]:
     log_c = np.minimum(log_cs, 0.0)  # a stationary point at q < 0 is the q = 0 one
     w = np.exp(np.minimum(log_lambda_sq + log_c, _LOG_W_MAX))
     fidelity, success = reversal_outcome(spec.qubit, *entries, w, np.exp(log_c), spec.apply_sigma_z)
-    return (-log_c, fidelity, success, w, -np.expm1(log_c)), rho, pre_prob
+    # 0.0 - x, not -x: a q of 0 is +0, never -0
+    return (-log_c, fidelity, success, w, 0.0 - np.expm1(log_c)), rho, pre_prob
 
 
 def run_protocol(spec: ProtocolSpec) -> ProtocolOutcome:

@@ -15,10 +15,11 @@ import numpy as np
 
 from .analytic import closed_form_factors
 from .core import QubitAmplitudes, SystemParams, check_strength
-from .optimize import grid_then_golden_max_rows
+from .optimize import grid_then_root_max_rows
 from .protocol import (
     ProtocolSpec,
     _evolved_state,
+    _overlap_coefficients,
     _target_entries,
     full_transfer_time,
     reversal_outcome,
@@ -75,7 +76,7 @@ class SweepSpec:
     include_baseline: bool = True
     p: float = 0.8
     gamma_phi_over_g: tuple = (0.0, 0.01, 0.1, 1.0)
-    t_max: float | None = None
+    t_max: float = 4.0 * full_transfer_time(1.0)
     coarse_points: int = 120
 
     def __post_init__(self):
@@ -90,7 +91,7 @@ class SweepSpec:
             labels = [f"{v:g}" for v in values]  # as the series labels print them
             if len(set(labels)) < len(labels):
                 raise ValueError(f"{key} values must print distinct labels, got {', '.join(labels)}")
-        if self.t_max is not None and not self.t_max > 0:
+        if not self.t_max > 0:
             raise ValueError("t-max must be positive")
         if self.coarse_points < 100:
             raise ValueError("coarse-points must be at least 100")
@@ -120,9 +121,9 @@ def _series_labels(spec: SweepSpec) -> list[tuple[str, float, bool]]:
     return labels
 
 
-def closed_form_outcome(qubit: QubitAmplitudes, p, s, t, formula) -> tuple[np.ndarray, np.ndarray]:
-    """Fidelity and reversal success of the closed-form protocol at g = 1,
-    with the sigma_z applied, elementwise.
+def closed_form_outcome(qubit: QubitAmplitudes, p, s, t, formula) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fidelity, reversal success and dF/dt of the closed-form protocol at
+    g = 1, with the sigma_z applied, elementwise.
 
     p, s, t and formula broadcast together: the pre-measurement strength,
     the common decay rate, the reversal time and whether the reversal uses
@@ -133,17 +134,30 @@ def closed_form_outcome(qubit: QubitAmplitudes, p, s, t, formula) -> tuple[np.nd
     shape, which reversal_outcome scores: under the closed form those of the
     state scaled by lambda = e^{st/2}, so that w = 1 - p and only the
     success goes to 0 as e^{-st} underflows.  A value that is still not
-    finite raises FloatingPointError.
+    finite raises FloatingPointError.  With w fixed, dF/dt is (A' w + B'
+    sqrt(w) + D' - F (E' w + R')) / (E w + R), from the same factors.
     """
     rho00, k, b, (c2, ic3, c4), half_decay, decay = closed_form_factors(qubit, p, s, t)
-    d3 = c4 * np.where(formula, 1.0, half_decay)
+    h = np.where(formula, 1.0, half_decay)
+    d3 = c4 * h
     rho33 = b * d3 * d3
     # qubit 1 and photon: the undamped sum on the time axis, then the decay
     trace = rho00 + b * (c2 * c2 + ic3 * ic3) * decay + rho33
     keep = 1.0 - np.asarray(p, dtype=float)
     w = np.where(formula, keep, 1.0)
     c = np.where(formula, keep * decay, 1.0)
-    return reversal_outcome(qubit, rho00, k * d3, rho33, trace, w, c)
+    fidelity, success = reversal_outcome(qubit, rho00, k * d3, rho33, trace, w, c)
+    # at g = 1, (c2, ic3, c4)' = (-ic3, c2 + c4, -ic3) and c2^2 + ic3^2 + c4^2 = 1,
+    # so rho00' = s b e^{-st}, E' = b e^{-st} c4 (s c4 + 2 ic3), rho03' = k d3'
+    # and R' = 2 b d3 d3', where on the baseline h' = -(s/2) h
+    s = np.asarray(s, dtype=float)
+    d3_dot = -h * (ic3 + np.where(formula, 0.0, 0.5 * s) * c4)
+    a_per_rho00, b_per_k, d_per_rho33 = _overlap_coefficients(qubit, 1.0, k, 1.0, True)
+    slope = (
+        b * decay * (a_per_rho00 * s * w - fidelity * w * c4 * (s * c4 + 2.0 * ic3))
+        + d3_dot * (b_per_k * np.sqrt(w) + 2.0 * b * d3 * (d_per_rho33 - fidelity))
+    ) / ((trace - rho33) * w + rho33)
+    return fidelity, success, slope
 
 
 def time_sweep(spec: SweepSpec) -> SweepResult:
@@ -159,43 +173,38 @@ def time_sweep(spec: SweepSpec) -> SweepResult:
     times = spec.grid.values()
     series = {}
     for label, p, formula in _series_labels(spec):
-        fidelity, success = closed_form_outcome(spec.qubit, p, spec.s_over_g, times, formula)
+        fidelity, success, _ = closed_form_outcome(spec.qubit, p, spec.s_over_g, times, formula)
         series[label] = np.column_stack([fidelity, success])
     return SweepResult("gt", times, series)
-
-
-def _best_over_time(f, t_max: float, coarse_points: int, refine_tol: float):
-    """Rows of (t*, best value) of f over the reversal time in (0, t_max]:
-    a uniform coarse scan, then golden refinement; a best first sample is
-    bracketed from a millionth of it, not from t = 0."""
-    times = np.linspace(0.0, t_max, coarse_points + 1)[1:]
-    return grid_then_golden_max_rows(f, times, refine_tol, first_lo=float(times[0]) * 1e-6)
 
 
 def decay_sweep(spec: SweepSpec) -> SweepResult:
     """Best-over-time fidelity against the decay-to-coupling ratio s/g.
 
     For each grid value of s/g and each series, the reversal time is scanned
-    up to t_max (default: twice the full-transfer period) and the maximum
-    fidelity recorded together with the success probability at the
-    maximizing time.  All (s/g, series) pairs are rows of one batch: one
-    array evaluation for the coarse scan and one per golden step.
+    on coarse_points uniform steps up to t_max, and the maximum fidelity is
+    recorded with the success probability at the maximizing time t*, the
+    root of dF/dt next to the best scan point; a best first point is
+    bracketed from a millionth of it, not from t = 0.  All (s/g, series)
+    pairs are rows of one batch: one array evaluation for the coarse scan
+    and one per root-search step.
     """
     if spec.kind != "decay":
         raise ValueError("spec.kind must be 'decay'")
     ratios = spec.grid.values()
-    t_max = spec.t_max if spec.t_max is not None else 4.0 * full_transfer_time(1.0)
     labels = _series_labels(spec)
     # rows ordered (s/g, series), one column so each row broadcasts over times
     s = np.repeat(ratios, len(labels))[:, None]
     p = np.tile([p for _, p, _ in labels], len(ratios))[:, None]
     formula = np.tile([rule for _, _, rule in labels], len(ratios))[:, None]
 
-    def fidelity(t):
-        return closed_form_outcome(spec.qubit, p, s, t, formula)[0]
+    def fidelity_and_slope(t):
+        fidelity, _, slope = closed_form_outcome(spec.qubit, p, s, t, formula)
+        return fidelity, slope
 
-    t_star, f_max = _best_over_time(fidelity, t_max, spec.coarse_points, 1e-6)
-    _, success = closed_form_outcome(spec.qubit, p[:, 0], s[:, 0], t_star, formula[:, 0])
+    times = np.linspace(0.0, spec.t_max, spec.coarse_points + 1)[1:]
+    t_star, f_max = grid_then_root_max_rows(fidelity_and_slope, times, first_lo=float(times[0]) * 1e-6)
+    _, success, _ = closed_form_outcome(spec.qubit, p[:, 0], s[:, 0], t_star, formula[:, 0])
     rows = np.column_stack([f_max, success]).reshape(len(ratios), len(labels), 2)
     series = {label: rows[:, j] for j, (label, _, _) in enumerate(labels)}
     return SweepResult("s_over_g", ratios, series)

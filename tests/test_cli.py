@@ -254,6 +254,17 @@ def test_optimize_q_outputs(tmp_path, capsys):
     assert record["fidelity_opt"] >= record["fidelity_formula"] - 1e-12
 
 
+@pytest.mark.parametrize("command, stem", [("protocol", "protocol"), ("optimize-q", "optimize_q")])
+def test_default_runs_write_no_negative_zero(tmp_path, capsys, command, stem):
+    # at the default flags every q is 0: it is written as 0, not -0
+    assert run_cli([command, "--output-dir", tmp_path]) == 0
+    cells = (tmp_path / f"{stem}.csv").read_text().splitlines()[1].split(",")
+    assert not any(cell.startswith("-0") for cell in cells)
+    data = json.loads((tmp_path / f"{stem}.json").read_text())["data"]
+    q_values = [value for key, value in data.items() if key.startswith("q_")]
+    assert q_values and all(value == 0.0 and math.copysign(1.0, value) == 1.0 for value in q_values)
+
+
 def test_sweep_command_delegates(tmp_path, capsys):
     code = run_cli(
         ["sweep", "--kind", "time", "--grid-points", "5", "--output-dir", tmp_path]
@@ -510,7 +521,8 @@ def test_couplings_set_only_their_ratio(tmp_path, capsys, argv, g):
 
 
 def test_fig3_searches_a_window_past_the_float_spacing(tmp_path, capsys):
-    # near t = 1e10 the floats are farther apart than the golden tolerance
+    # a coarse spacing of about 8e7 cannot resolve the oscillation, and near
+    # t = 1e10 the floats are 2e-6 apart: the search must still end
     argv = ["fig3", "--t-max", "1e10", "--grid-points", "3", "--formats", "csv"]
     assert run_cli(argv + ["--output-dir", tmp_path]) == 0
 

@@ -18,8 +18,10 @@ from qstsim import (
     run_protocol,
     time_sweep,
 )
+from qstsim import sweeps
 from qstsim.cli import parse_config
-from qstsim.sweeps import closed_form_outcome
+from qstsim.optimize import grid_then_root_max_rows
+from qstsim.sweeps import _series_labels, closed_form_outcome
 
 from oracles import max_fidelity_over_time
 
@@ -295,9 +297,15 @@ def test_closed_form_outcome_matches_run_protocol(qubit, p, s, t, formula):
         transfer_time=t,
     )
     outcome = run_protocol(spec)
-    fidelity, success = closed_form_outcome(qubit, p, s, t, formula)
+    fidelity, success, slope = closed_form_outcome(qubit, p, s, t, formula)
     assert abs(fidelity - outcome.fidelity) <= 1e-12
     assert abs(success - outcome.reversal_success) <= 1e-12
+    # the slope against a central difference of run_protocol's fidelity,
+    # whose error h^2 F''' / 6 grows as s^3
+    h = 1e-6
+    if t >= h:
+        ahead, behind = (run_protocol(replace(spec, transfer_time=t + d)).fidelity for d in (h, -h))
+        assert abs(slope - (ahead - behind) / (2 * h)) <= 1e-8 + 1e-12 * s**3
 
 
 def test_time_sweep_matches_run_protocol_per_point():
@@ -314,10 +322,27 @@ def test_time_sweep_matches_run_protocol_per_point():
             assert abs(result.success(label)[i] - outcome.reversal_success) <= 1e-12
 
 
-def test_decay_sweep_rows_equal_one_row_searches():
-    # one batch of (s/g, series) rows gives what each row gives on its own
-    spec = small_decay_spec(ratios=(0.3, 3.0, 30.0))
+def best_times(spec: SweepSpec, monkeypatch) -> tuple:
+    """decay_sweep(spec) and the best time t* of each of its rows, ordered
+    (s/g, series), read off the search it runs."""
+    found = []
+
+    def recording(*args, **kwargs):
+        found.append(grid_then_root_max_rows(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(sweeps, "grid_then_root_max_rows", recording)
     result = decay_sweep(spec)
+    (t_star, _), = found
+    return result, t_star.reshape(len(result.axis_values), len(result.series))
+
+
+def test_decay_sweep_rows_equal_one_row_searches(monkeypatch):
+    # one batch of (s/g, series) rows gives what each row gives on its own:
+    # the best fidelity of a search on the fidelity alone, and at the
+    # batch's own t* the success of run_protocol
+    spec = small_decay_spec(ratios=(0.3, 3.0, 30.0))
+    result, t_star = best_times(spec, monkeypatch)
     t_max = 4 * full_transfer_time(1.0)
     for i, ratio in enumerate(result.axis_values):
         params = SystemParams(1.0, 1.0, ratio, ratio, ratio)
@@ -326,10 +351,52 @@ def test_decay_sweep_rows_equal_one_row_searches():
                 qubit=spec.qubit, params=params, p=p, q_rule=rule, q_value=q_value,
                 transfer_time=1.0,
             )
-            t_star, f_max = max_fidelity_over_time(proto, t_max, spec.coarse_points)
+            _, f_max = max_fidelity_over_time(proto, t_max, spec.coarse_points)
             assert abs(result.fidelity(label)[i] - f_max) <= 1e-12
-            outcome = run_protocol(replace(proto, transfer_time=t_star))
+            j = list(result.series).index(label)
+            outcome = run_protocol(replace(proto, transfer_time=float(t_star[i, j])))
+            assert abs(result.fidelity(label)[i] - outcome.fidelity) <= 1e-12
             assert abs(result.success(label)[i] - outcome.reversal_success) <= 1e-12
+
+
+def _mp_outcome(mpmath, qubit: QubitAmplitudes, p, s, formula):
+    """Fidelity and reversal success against t, in mpmath, from the kept
+    Kraus branch of the closed-form state: the no-jump amplitudes (c2, c3,
+    c4) e^{-st/2} of the excitation, the ground population making up the
+    trace, then the reversal with 1 - q = (1 - p) e^{-st} (or 1) and the
+    sigma_z on qubit 2."""
+    alpha, beta, p, s = mpmath.mpf(qubit.alpha), mpmath.mpc(qubit.beta), mpmath.mpf(p), mpmath.mpf(s)
+    n1 = mpmath.sqrt(alpha**2 + abs(beta) ** 2 * (1 - p))
+
+    def at(t):
+        rt = mpmath.sqrt(2) * t
+        amplitudes = ((mpmath.cos(rt) + 1) / 2, -1j * mpmath.sin(rt) / mpmath.sqrt(2), (mpmath.cos(rt) - 1) / 2)
+        psi = [alpha / n1] + [beta * mpmath.sqrt(1 - p) / n1 * a * mpmath.exp(-s * t / 2) for a in amplitudes]
+        ground = 1 - mpmath.fsum(abs(x) ** 2 for x in psi)
+        c = (1 - p) * mpmath.exp(-s * t) if formula else mpmath.mpf(1)
+        kept = [mpmath.sqrt(c) * x for x in psi[:3]] + [-psi[3]]
+        success = mpmath.fsum(abs(x) ** 2 for x in kept) + c * ground
+        overlap = abs(alpha * kept[0] + mpmath.conj(beta) * kept[3]) ** 2 + alpha**2 * c * ground
+        return overlap / success, success
+
+    return at
+
+
+def test_decay_sweep_is_exact_at_the_root_of_the_slope(monkeypatch):
+    """Every row of the default fig3 against 50-digit mpmath at the root of
+    dF/dt next to the sweep's t*: the success within 1e-12 relative, the
+    fidelity within 1e-14."""
+    mpmath = pytest.importorskip("mpmath")
+    spec = parse_config(["fig3"]).spec
+    result, t_star = best_times(spec, monkeypatch)
+    with mpmath.workdps(50):
+        for i, ratio in enumerate(result.axis_values):
+            for j, (label, p, formula) in enumerate(_series_labels(spec)):
+                at = _mp_outcome(mpmath, spec.qubit, p, ratio, formula)
+                root = mpmath.findroot(lambda t: mpmath.diff(lambda u: at(u)[0], t), mpmath.mpf(t_star[i, j]))
+                fidelity, success = at(root)
+                assert abs(result.fidelity(label)[i] - fidelity) <= 1e-14
+                assert abs(result.success(label)[i] - success) <= 1e-12 * success
 
 
 def test_plateau_holds_past_exp_underflow():
@@ -352,6 +419,14 @@ def test_plateau_holds_past_exp_underflow():
     np.testing.assert_allclose(at_100_1000[:, 1], at_30_100[:, 0], rtol=0, atol=1e-9)
     # only the success probability pays for the decay
     assert 0.0 <= high.success("p=0.8")[1] < 1e-300
+
+
+def test_best_time_found_where_the_slope_underflows_on_the_grid():
+    """At s/g = 2e4 the baseline's peak, 2e-13 above the plateau alpha^2,
+    lies before the first scan point, where e^{-st/2} and with it the slope
+    have underflowed to 0: the search goes on into that first cell."""
+    spec = SweepSpec(kind="decay", grid=AxisGrid(2e4, 4e4, 2), qubit=QubitAmplitudes(0.6, 0.8), p_values=())
+    assert decay_sweep(spec).fidelity("baseline")[0] > 0.36 + 1e-13
 
 
 def test_non_finite_closed_form_value_raises():
