@@ -38,7 +38,6 @@ from .core import (
     QubitAmplitudes,
     SystemParams,
     check_strength,
-    initial_state,
 )
 from .lindblad import integrate
 from .measurement import ZeroProbability, apply_measurement_qubit1
@@ -175,11 +174,11 @@ _REVERSAL_OPTS = (
     Option("sigma-z", _parse_bool, True, "apply the sigma_z correction"),
 )
 _OVERLAY_OPTS = (
-    Option("p", _parse_float_list, (0.0, 0.4, 0.8), "measurement strengths to overlay"),
+    Option("p", _parse_float_list, SweepSpec.p_values, "measurement strengths to overlay"),
     Option("baseline", _parse_bool, True, "include the unmeasured baseline"),
 )
 _TIME_GRID_OPTS = (
-    Option("s-over-g", _parse_float, 2.0, "common decay rate"),
+    Option("s-over-g", _parse_float, SweepSpec.s_over_g, "common decay rate"),
     Option("g-over-s", _parse_float, None, "reciprocal way to give s-over-g"),
     Option("grid-start", _parse_float, 0.0, "first g*t"),
     Option("grid-stop", _parse_float, 6.0, "last g*t"),
@@ -325,7 +324,7 @@ _LEVELS = {"ground": GROUND, "qubit1": QUBIT1, "photon": PHOTON, "qubit2": QUBIT
 
 def _run_evolve(cfg: RunConfig) -> dict:
     params, qubit, grid = cfg.spec
-    pre = apply_measurement_qubit1(initial_state(qubit), cfg.values["p"])
+    pre = apply_measurement_qubit1(qubit, cfg.values["p"])
     gts = grid.values()
     states = integrate(params, pre.state, gts)
     series = {f"pop_{name}": states[:, i, i].real for name, i in _LEVELS.items()}
@@ -458,7 +457,7 @@ _COMMANDS = {
             Option("grid-points", int, 60, "s/g grid size"),
             Option("log-grid", _parse_bool, True, "log-spaced s/g axis"),
             Option("t-max", _parse_float, SweepSpec.t_max, "search window for the best time"),
-            Option("coarse-points", int, 120, "coarse time-scan size"),
+            Option("coarse-points", int, SweepSpec.coarse_points, "coarse time-scan size"),
             *_OUTPUT_OPTS,
         ),
         functools.partial(_build_sweep, "decay"), _run_sweep,
@@ -467,8 +466,8 @@ _COMMANDS = {
         "fidelity against g*t for several dephasing rates",
         (
             *_QUBIT_OPTS,
-            Option("p", _parse_float, 0.8, "measurement strength"),
-            Option("gamma-phi-over-g", _parse_float_list, (0.0, 0.01, 0.1, 1.0), "dephasing rates to overlay"),
+            Option("p", _parse_float, SweepSpec.p, "measurement strength"),
+            Option("gamma-phi-over-g", _parse_float_list, SweepSpec.gamma_phi_over_g, "dephasing rates to overlay"),
             *_TIME_GRID_OPTS,
             *_OUTPUT_OPTS,
         ),

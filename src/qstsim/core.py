@@ -16,7 +16,6 @@ are usually quoted as the dimensionless product g*t.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -108,66 +107,6 @@ def hamiltonian(params: SystemParams) -> np.ndarray:
     h[QUBIT1, PHOTON] = h[PHOTON, QUBIT1] = params.g1
     h[PHOTON, QUBIT2] = h[QUBIT2, PHOTON] = params.g2
     return h
-
-
-class CollapseTerm(NamedTuple):
-    """One dissipation channel: jump operator, rate and dissipator flavour.
-
-    For ``dephasing=False`` the master equation uses the lowering-operator
-    form rate * (L rho L+ - {L+ L, rho}/2).  For ``dephasing=True`` (L is a
-    sigma_z) it uses (rate/2) * (L rho L - rho).
-    """
-
-    op: np.ndarray
-    rate: float
-    dephasing: bool = False
-
-
-def _lowering(src: int) -> np.ndarray:
-    op = np.zeros((DIM, DIM), dtype=complex)
-    op[GROUND, src] = 1.0
-    return op
-
-
-def collapse_operators(params: SystemParams) -> list[CollapseTerm]:
-    """Jump operators with their rates in the truncated basis.
-
-    Photon loss and either qubit's emission all deposit the excitation in the
-    joint ground state, so the three lowering operators are |g><photon|,
-    |g><qubit1| and |g><qubit2|.  Pure dephasing adds the two embedded
-    sigma_z operators, each with rate gamma_phi.  Channels with zero rate are
-    omitted.
-    """
-    terms = []
-    if params.kappa > 0:
-        terms.append(CollapseTerm(_lowering(PHOTON), params.kappa))
-    if params.gamma1 > 0:
-        terms.append(CollapseTerm(_lowering(QUBIT1), params.gamma1))
-    if params.gamma2 > 0:
-        terms.append(CollapseTerm(_lowering(QUBIT2), params.gamma2))
-    if params.gamma_phi > 0:
-        terms.append(CollapseTerm(SIGMA_Z1.copy(), params.gamma_phi, dephasing=True))
-        terms.append(CollapseTerm(SIGMA_Z2.copy(), params.gamma_phi, dephasing=True))
-    return terms
-
-
-def embed_qubit2_op(op2x2: np.ndarray) -> np.ndarray:
-    """Lift a single-qubit operator acting on qubit 2 into the composite basis.
-
-    Qubit 2 is in |1> only in basis state 3; in basis states 0..2 it is in
-    |0>.  Raising qubit 2 out of basis states 1 or 2 would create a second
-    excitation, which the basis excludes, so the only off-diagonal pair kept
-    is 0 <-> 3.
-    """
-    op = np.asarray(op2x2, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {op.shape}")
-    out = np.zeros((DIM, DIM), dtype=complex)
-    out[GROUND, GROUND] = out[QUBIT1, QUBIT1] = out[PHOTON, PHOTON] = op[0, 0]
-    out[QUBIT2, QUBIT2] = op[1, 1]
-    out[GROUND, QUBIT2] = op[0, 1]
-    out[QUBIT2, GROUND] = op[1, 0]
-    return out
 
 
 def physicality_violations(

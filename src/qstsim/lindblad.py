@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .core import DIM, GROUND, QUBIT2, SystemParams, collapse_operators, hamiltonian
+from .core import DIM, GROUND, PHOTON, QUBIT1, QUBIT2, SIGMA_Z1, SIGMA_Z2, SystemParams, hamiltonian
 
 
 # b_0..b_13 of the degree-13 Pade approximant to exp, and the 1-norm
@@ -59,21 +59,37 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(DIM * DIM, DIM * DIM)
 
 
+def _lowering(src: int) -> np.ndarray:
+    """|ground><src|: photon loss and either qubit's emission all deposit the
+    excitation in the joint ground state."""
+    op = np.zeros((DIM, DIM), dtype=complex)
+    op[GROUND, src] = 1.0
+    return op
+
+
 def liouvillian(params: SystemParams) -> np.ndarray:
     """The 16x16 generator L with vec(d rho/dt) = L vec(rho), row-major vec.
 
-    -i[H, rho] plus the lowering-operator dissipators for photon loss and
-    qubit emission, plus (gamma_phi/2)(Z rho Z - rho) for each qubit when
-    dephasing is on, which is the dissipator of Z at rate gamma_phi/2 as
-    Z^+ Z = 1, assembled with vec(A rho B) = (A kron B^T) vec(rho).
+    -i[H, rho] plus the dissipator rate (L rho L^+ - {L^+ L, rho}/2) of each
+    channel with a positive rate: the lowering operators of photon loss and
+    qubit emission, and, for dephasing, each qubit's sigma_z at rate
+    gamma_phi/2, which is (gamma_phi/2)(Z rho Z - rho) as Z^+ Z = 1.
+    Assembled with vec(A rho B) = (A kron B^T) vec(rho).
     """
     eye = np.eye(DIM)
     h = hamiltonian(params)
     gen = -1j * (_kron(h, eye) - _kron(eye, h.T))
-    for op, rate, dephasing in collapse_operators(params):
-        rate = 0.5 * rate if dephasing else rate
-        ldl = op.conj().T @ op
-        gen += rate * (_kron(op, op.conj()) - 0.5 * (_kron(ldl, eye) + _kron(eye, ldl.T)))
+    channels = (
+        (_lowering(PHOTON), params.kappa),
+        (_lowering(QUBIT1), params.gamma1),
+        (_lowering(QUBIT2), params.gamma2),
+        (SIGMA_Z1, 0.5 * params.gamma_phi),
+        (SIGMA_Z2, 0.5 * params.gamma_phi),
+    )
+    for op, rate in channels:
+        if rate > 0:
+            ldl = op.conj().T @ op
+            gen += rate * (_kron(op, op.conj()) - 0.5 * (_kron(ldl, eye) + _kron(eye, ldl.T)))
     return gen
 
 

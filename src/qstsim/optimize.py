@@ -20,10 +20,12 @@ def grid_then_root_max_rows(f, points: np.ndarray, first_lo: float) -> tuple[np.
     """Maximum of each row over one grid: a scan, then the root of the slope
     between the row's best grid point and the neighbour its slope points to.
 
-    f maps an array of abscissae whose leading axis indexes the rows to the
-    pair (values, slopes) of that shape; the scan calls it once on
-    ``points[None, :]``.  A best first point whose slope is not positive is
-    bracketed from first_lo.  A bracket has a positive slope at its lower end
+    f(x, slope) maps an array of abscissae whose leading axis indexes the
+    rows to the values of that shape, or, when slope is true, to the pair
+    (values, slopes).  The scan asks for values only, once on
+    ``points[None, :]``; one call with slopes at the best grid point and its
+    two neighbours then picks the bracket, the left one first_lo when the
+    best point is the first.  A bracket has a positive slope at its lower end
     and none at its upper end.  Each step probes the midpoint and, a float
     or more either side, the secant point of the last two probes (or of the
     bracket's ends), and keeps the first sign change from the left, so a
@@ -31,24 +33,30 @@ def grid_then_root_max_rows(f, points: np.ndarray, first_lo: float) -> tuple[np.
     float lies between the ends; a bracket whose slope does not change sign
     ends at once at the end the slope points to.  The result never falls
     below the best grid sample: ties within 1e-12 go to a root, else to the
-    smaller abscissa.  A non-finite value or slope on the grid raises
-    FloatingPointError.
+    smaller abscissa.  A non-finite value on the grid, or slope at those
+    three points, raises FloatingPointError.
     """
     points = np.asarray(points, dtype=float)
-    values, slopes = f(points[None, :])
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(slopes))):
+    values = f(points[None, :], False)
+    if not np.all(np.isfinite(values)):
         raise FloatingPointError("objective is not finite on the scan grid")
     best = values.max(axis=1)
     idx = np.argmax(values >= (best - _TIE)[:, None], axis=1)
     x_grid, rows = points[idx], np.arange(len(idx))
-    rising = slopes[rows, idx] > 0
-    lo = np.where(rising, x_grid, np.where(idx == 0, first_lo, points[idx - 1]))
-    hi = np.where(rising, points[np.minimum(idx + 1, len(points) - 1)], x_grid)
-    (fa, fb), (ga, gb) = (pair.T for pair in f(np.column_stack([lo, hi])))
+    x_around = np.column_stack(
+        [np.where(idx == 0, first_lo, points[idx - 1]), x_grid, points[np.minimum(idx + 1, len(points) - 1)]]
+    )
+    f_around, g_around = f(x_around, True)
+    if not np.all(np.isfinite(g_around)):
+        raise FloatingPointError("objective slope is not finite next to the best grid point")
+    # the ends of each bracket as (abscissa, value, slope) columns: the best
+    # point and its right neighbour where its slope is positive, else its left
+    low = (g_around[:, 1] > 0).astype(int)
+    around = np.stack([x_around, f_around, g_around])
+    lower, upper = around[:, rows, low], around[:, rows, low + 1]
+    (lo, fa, ga), (hi, fb, gb) = lower, upper
     root = (ga > 0) & (gb <= 0)
     x_end, f_end = np.where(ga > 0, hi, lo), np.where(ga > 0, fb, fa)
-    # the ends of each bracket as (abscissa, value, slope) columns
-    lower, upper = np.stack([lo, fa, ga]), np.stack([hi, fb, gb])
     u, gu, v, gv = lo, ga, hi, gb  # the last pair of secant probes
     while True:
         (a, _, ga), (b, _, gb) = lower, upper
@@ -65,7 +73,7 @@ def grid_then_root_max_rows(f, points: np.ndarray, first_lo: float) -> tuple[np.
         probes = np.minimum(np.maximum(probes, a[:, None]), b[:, None])
         # a row that is done probes its own lower end, which keeps its bracket
         probes = np.where(active[:, None], probes, a[:, None])
-        f_probes, g_probes = f(probes)
+        f_probes, g_probes = f(probes, True)
         u, v, gu, gv = probes[:, 0], probes[:, 1], g_probes[:, 0], g_probes[:, 1]
         order = np.argsort(probes, axis=1)
         probed = np.stack([probes, f_probes, g_probes])[:, rows[:, None], order]

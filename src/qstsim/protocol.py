@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import analytic_rho
-from .core import QubitAmplitudes, SystemParams, check_strength, initial_state, target_state
+from .core import QubitAmplitudes, SystemParams, check_strength
 from .lindblad import decay_frame, integrate
 from .measurement import apply_measurement_qubit1
 from .optimize import pick_best
@@ -24,25 +24,6 @@ from .optimize import pick_best
 def full_transfer_time(g: float) -> float:
     """First time the excitation sits entirely on qubit 2 (equal couplings)."""
     return math.pi / (math.sqrt(2.0) * g)
-
-
-def q_formula(p: float, s: float, t: float) -> float:
-    """Closed-form reversal strength q = 1 - (1-p) e^{-st}.
-
-    Chosen so the reversal rescales the ground amplitude by exactly the
-    damping factor the excited amplitude picked up on the no-jump branch;
-    state-independent, always in [p, 1).
-    """
-    check_strength(p)
-    if s < 0 or t < 0:
-        raise ValueError("s and t must be non-negative")
-    return 1.0 - (1.0 - p) * math.exp(-s * t)
-
-
-def fidelity_to_target(rho: np.ndarray, qubit: QubitAmplitudes) -> float:
-    """Overlap <target| rho |target> of a state with the transferred state."""
-    phi = target_state(qubit)
-    return float(np.real(np.vdot(phi, rho @ phi)))
 
 
 def _overlap_coefficients(qubit: QubitAmplitudes, rho00, rho03, rho33, apply_sigma_z):
@@ -71,10 +52,12 @@ def reversal_outcome(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fidelity and success probability of the reversal, elementwise.
 
-    apply_reversal_qubit2 and fidelity_to_target reduced to what the target
-    sees of a state whose qubit-2 row and column carry lambda (1 for the
-    true state).  With c = 1 - q and a finite w = lambda^2 c, the fidelity
-    is (A w + B sqrt(w) + D) / (E w + R) and the success c (E w + R) / w, where
+    The reversal channel, the kept branch of a bit-flip conjugated partial
+    measurement of strength q on qubit 2 followed by a sigma_z, and the
+    overlap with the target, reduced to what the target sees of a state
+    whose qubit-2 row and column carry lambda (1 for the true state).  With
+    c = 1 - q and a finite w = lambda^2 c, the fidelity is (A w + B sqrt(w)
+    + D) / (E w + R) and the success c (E w + R) / w, where
     A = alpha^2 rho00, B = -+2 alpha Re(beta rho03) under the sigma_z or
     not, D = |beta|^2 rho33, E = trace - rho33 and R = rho33.  The
     arguments after the qubit broadcast.  A value that is not finite, 0/0
@@ -165,7 +148,7 @@ def _evolved_state(spec: ProtocolSpec, times) -> tuple[np.ndarray, np.ndarray, f
     """Scaled states just before the reversal at each of the times, shape
     (n, 4, 4), from either engine (see integrate and analytic_rho); ln
     lambda^2 at each time; and the pre-measurement probability."""
-    pre = apply_measurement_qubit1(initial_state(spec.qubit), spec.p)
+    pre = apply_measurement_qubit1(spec.qubit, spec.p)
     params = spec.params
     times = np.asarray(times, dtype=float)
     if spec.engine == "analytic":

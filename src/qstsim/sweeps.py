@@ -121,9 +121,9 @@ def _series_labels(spec: SweepSpec) -> list[tuple[str, float, bool]]:
     return labels
 
 
-def closed_form_outcome(qubit: QubitAmplitudes, p, s, t, formula) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fidelity, reversal success and dF/dt of the closed-form protocol at
-    g = 1, with the sigma_z applied, elementwise.
+def closed_form_outcome(qubit: QubitAmplitudes, p, s, t, formula, slope=False) -> tuple:
+    """Fidelity and reversal success of the closed-form protocol at g = 1,
+    with the sigma_z applied, elementwise; with slope, dF/dt as well.
 
     p, s, t and formula broadcast together: the pre-measurement strength,
     the common decay rate, the reversal time and whether the reversal uses
@@ -135,7 +135,8 @@ def closed_form_outcome(qubit: QubitAmplitudes, p, s, t, formula) -> tuple[np.nd
     state scaled by lambda = e^{st/2}, so that w = 1 - p and only the
     success goes to 0 as e^{-st} underflows.  A value that is still not
     finite raises FloatingPointError.  With w fixed, dF/dt is (A' w + B'
-    sqrt(w) + D' - F (E' w + R')) / (E w + R), from the same factors.
+    sqrt(w) + D' - F (E' w + R')) / (E w + R), from the same factors, formed
+    only when slope is true.
     """
     rho00, k, b, (c2, ic3, c4), half_decay, decay = closed_form_factors(qubit, p, s, t)
     h = np.where(formula, 1.0, half_decay)
@@ -147,17 +148,19 @@ def closed_form_outcome(qubit: QubitAmplitudes, p, s, t, formula) -> tuple[np.nd
     w = np.where(formula, keep, 1.0)
     c = np.where(formula, keep * decay, 1.0)
     fidelity, success = reversal_outcome(qubit, rho00, k * d3, rho33, trace, w, c)
+    if not slope:
+        return fidelity, success
     # at g = 1, (c2, ic3, c4)' = (-ic3, c2 + c4, -ic3) and c2^2 + ic3^2 + c4^2 = 1,
     # so rho00' = s b e^{-st}, E' = b e^{-st} c4 (s c4 + 2 ic3), rho03' = k d3'
     # and R' = 2 b d3 d3', where on the baseline h' = -(s/2) h
     s = np.asarray(s, dtype=float)
     d3_dot = -h * (ic3 + np.where(formula, 0.0, 0.5 * s) * c4)
     a_per_rho00, b_per_k, d_per_rho33 = _overlap_coefficients(qubit, 1.0, k, 1.0, True)
-    slope = (
+    dfdt = (
         b * decay * (a_per_rho00 * s * w - fidelity * w * c4 * (s * c4 + 2.0 * ic3))
         + d3_dot * (b_per_k * np.sqrt(w) + 2.0 * b * d3 * (d_per_rho33 - fidelity))
     ) / ((trace - rho33) * w + rho33)
-    return fidelity, success, slope
+    return fidelity, success, dfdt
 
 
 def time_sweep(spec: SweepSpec) -> SweepResult:
@@ -173,7 +176,7 @@ def time_sweep(spec: SweepSpec) -> SweepResult:
     times = spec.grid.values()
     series = {}
     for label, p, formula in _series_labels(spec):
-        fidelity, success, _ = closed_form_outcome(spec.qubit, p, spec.s_over_g, times, formula)
+        fidelity, success = closed_form_outcome(spec.qubit, p, spec.s_over_g, times, formula)
         series[label] = np.column_stack([fidelity, success])
     return SweepResult("gt", times, series)
 
@@ -186,8 +189,9 @@ def decay_sweep(spec: SweepSpec) -> SweepResult:
     recorded with the success probability at the maximizing time t*, the
     root of dF/dt next to the best scan point; a best first point is
     bracketed from a millionth of it, not from t = 0.  All (s/g, series)
-    pairs are rows of one batch: one array evaluation for the coarse scan
-    and one per root-search step.
+    pairs are rows of one batch: one array evaluation of the fidelity for
+    the coarse scan, one with dF/dt about each row's best scan point, and
+    one per root-search step.
     """
     if spec.kind != "decay":
         raise ValueError("spec.kind must be 'decay'")
@@ -198,13 +202,15 @@ def decay_sweep(spec: SweepSpec) -> SweepResult:
     p = np.tile([p for _, p, _ in labels], len(ratios))[:, None]
     formula = np.tile([rule for _, _, rule in labels], len(ratios))[:, None]
 
-    def fidelity_and_slope(t):
-        fidelity, _, slope = closed_form_outcome(spec.qubit, p, s, t, formula)
-        return fidelity, slope
+    def fidelity(t, slope):
+        if slope:
+            values, _, dfdt = closed_form_outcome(spec.qubit, p, s, t, formula, slope=True)
+            return values, dfdt
+        return closed_form_outcome(spec.qubit, p, s, t, formula)[0]
 
     times = np.linspace(0.0, spec.t_max, spec.coarse_points + 1)[1:]
-    t_star, f_max = grid_then_root_max_rows(fidelity_and_slope, times, first_lo=float(times[0]) * 1e-6)
-    _, success, _ = closed_form_outcome(spec.qubit, p[:, 0], s[:, 0], t_star, formula[:, 0])
+    t_star, f_max = grid_then_root_max_rows(fidelity, times, first_lo=float(times[0]) * 1e-6)
+    _, success = closed_form_outcome(spec.qubit, p[:, 0], s[:, 0], t_star, formula[:, 0])
     rows = np.column_stack([f_max, success]).reshape(len(ratios), len(labels), 2)
     series = {label: rows[:, j] for j, (label, _, _) in enumerate(labels)}
     return SweepResult("s_over_g", ratios, series)

@@ -1,34 +1,149 @@
 """Independent references that only the tests use.
 
-Each reaches a quantity the package computes by a different route: the
-master equation term by term instead of through the Liouvillian; the
-no-jump branch as a pure state propagated by scipy's matrix exponential of
-the effective non-Hermitian generator instead of the closed forms or the
-package's own propagator; and the best fidelity over the reversal time
-by a golden-section search on the fidelity alone, one run_protocol call per
-time, instead of the root of the slope for a whole batch.
+Each reaches a quantity the package computes by a different route, and
+defines what it needs itself rather than sharing it with the code it
+checks: the channel-level protocol (the partial-measurement Kraus pair, the
+reversal as its three-step product, the reversal channel on the composite
+system and the overlap with the target) instead of the closed-form
+reversal outcome; the jump operators and the master equation term by term
+instead of through the Liouvillian; the no-jump branch as a pure state
+propagated by scipy's matrix exponential of the effective non-Hermitian
+generator instead of the closed forms or the package's own propagator; and
+the best fidelity over the reversal time by a golden-section search on the
+fidelity alone, one run_protocol call per time, instead of the root of the
+slope for a whole batch.
 """
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
 
-from qstsim.core import (
-    DIM,
-    GROUND,
-    QUBIT1,
-    SIGMA_Z2,
-    CollapseTerm,
-    QubitAmplitudes,
-    SystemParams,
-    collapse_operators,
-    embed_qubit2_op,
-    hamiltonian,
-)
-from qstsim.measurement import PAULI_X
+from qstsim.core import QubitAmplitudes, SystemParams, hamiltonian
 from qstsim.protocol import ProtocolSpec, full_transfer_time, run_protocol
+
+# the composite basis: ground, qubit 1 excited, one photon, qubit 2 excited
+GROUND, QUBIT1, PHOTON, QUBIT2 = range(4)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def m0_operator(p: float) -> np.ndarray:
+    """Kraus operator of the kept (qubit-not-excited) branch, diag(1, sqrt(1-p))."""
+    return np.diag([1.0, math.sqrt(1.0 - p)]).astype(complex)
+
+
+def m1_operator(p: float) -> np.ndarray:
+    """Kraus operator of the discarded (qubit tunneled) branch, diag(0, sqrt(p))."""
+    return np.diag([0.0, math.sqrt(p)]).astype(complex)
+
+
+def reversal_operator(q: float) -> np.ndarray:
+    """The undo of a partial measurement of strength q < 1, as the three
+    steps that realize it: bit flip, partial measurement of strength q, bit
+    flip, scaled by 1/sqrt(1-q)."""
+    return PAULI_X @ m0_operator(q) @ PAULI_X / math.sqrt(1.0 - q)
+
+
+def embed_qubit2_op(op2x2: np.ndarray) -> np.ndarray:
+    """A single-qubit operator on qubit 2 in the composite basis.
+
+    Qubit 2 is in |1> only in basis state 3 and in |0> in basis states 0..2.
+    Raising it out of basis states 1 or 2 would create a second excitation,
+    which the basis excludes, so the only off-diagonal pair kept is 0 <-> 3.
+    """
+    op = np.asarray(op2x2, dtype=complex)
+    out = np.diag([op[0, 0], op[0, 0], op[0, 0], op[1, 1]])
+    out[GROUND, QUBIT2], out[QUBIT2, GROUND] = op[0, 1], op[1, 0]
+    return out
+
+
+# sigma_z with sigma_z|1> = +|1>; qubit 1 is excited only in basis state 1
+SIGMA_Z1 = np.diag([-1.0, 1.0, -1.0, -1.0]).astype(complex)
+SIGMA_Z2 = embed_qubit2_op(np.diag([-1.0, 1.0]))
+
+
+class PostSelected(NamedTuple):
+    """Normalized state of a kept branch and the probability of keeping it."""
+
+    state: np.ndarray
+    success_probability: float
+
+
+def apply_reversal_qubit2(rho: np.ndarray, q: float, apply_sigma_z: bool = True) -> PostSelected:
+    """The reversal channel on the composite state: the kept branch of the
+    three-step reversal of strength q lifted onto qubit 2 (without its
+    1/sqrt(1-q), which normalizing removes), then a sigma_z on qubit 2 if
+    asked.  Its probability is 1 - q + q rho33 for a unit-trace rho."""
+    kraus = embed_qubit2_op(PAULI_X @ m0_operator(q) @ PAULI_X)
+    kept = kraus @ np.asarray(rho, dtype=complex) @ kraus
+    prob = float(np.trace(kept).real)
+    if apply_sigma_z:
+        kept = SIGMA_Z2 @ kept @ SIGMA_Z2
+    return PostSelected(kept / prob, prob)
+
+
+def q_formula(p: float, s: float, t: float) -> float:
+    """The closed-form reversal strength q = 1 - (1-p) e^{-st}."""
+    return 1.0 - (1.0 - p) * math.exp(-s * t)
+
+
+def fidelity_to_target(rho: np.ndarray, qubit: QubitAmplitudes) -> float:
+    """<target| rho |target> with the target alpha|ground> + beta|qubit 2 excited>."""
+    phi = np.array([qubit.alpha, 0.0, 0.0, qubit.beta], dtype=complex)
+    return float(np.real(np.vdot(phi, rho @ phi)))
+
+
+class CollapseTerm(NamedTuple):
+    """One dissipation channel: jump operator, rate and dissipator flavour.
+
+    For ``dephasing=False`` the master equation uses the lowering-operator
+    form rate * (L rho L+ - {L+ L, rho}/2).  For ``dephasing=True`` (L is a
+    sigma_z) it uses (rate/2) * (L rho L - rho).
+    """
+
+    op: np.ndarray
+    rate: float
+    dephasing: bool = False
+
+
+def _lowering(src: int) -> np.ndarray:
+    op = np.zeros((4, 4), dtype=complex)
+    op[GROUND, src] = 1.0
+    return op
+
+
+def collapse_operators(params: SystemParams) -> list[CollapseTerm]:
+    """Jump operators with their rates, channels with zero rate omitted.
+
+    Photon loss and either qubit's emission all deposit the excitation in
+    the joint ground state: |g><photon|, |g><qubit1| and |g><qubit2|.  Pure
+    dephasing adds the two embedded sigma_z operators, each with rate
+    gamma_phi.
+    """
+    terms = [
+        CollapseTerm(_lowering(PHOTON), params.kappa),
+        CollapseTerm(_lowering(QUBIT1), params.gamma1),
+        CollapseTerm(_lowering(QUBIT2), params.gamma2),
+        CollapseTerm(SIGMA_Z1, params.gamma_phi, dephasing=True),
+        CollapseTerm(SIGMA_Z2, params.gamma_phi, dephasing=True),
+    ]
+    return [term for term in terms if term.rate > 0]
+
+
+def liouvillian_by_terms(params: SystemParams) -> np.ndarray:
+    """The 16x16 generator of the row-major vec(rho), one np.kron per term:
+    vec(A rho B) = (A kron B^T) vec(rho), each term of collapse_operators
+    in the lowering-operator form at rate gamma, or gamma/2 for a sigma_z."""
+    eye = np.eye(4)
+    h = hamiltonian(params)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op, rate, dephasing in collapse_operators(params):
+        rate = 0.5 * rate if dephasing else rate
+        ldl = op.conj().T @ op
+        gen += rate * (np.kron(op, op.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T)))
+    return gen
 
 
 def _split_terms(terms: list[CollapseTerm]):
@@ -71,8 +186,8 @@ def lindblad_rhs(params: SystemParams, rho: np.ndarray) -> np.ndarray:
     input.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (DIM, DIM):
-        raise ValueError(f"expected a {DIM}x{DIM} state, got shape {rho.shape}")
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
     return _make_rhs(params)(rho)
 
 

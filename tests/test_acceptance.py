@@ -24,24 +24,26 @@ from qstsim import (
     SystemParams,
     analytic_rho,
     apply_measurement_qubit1,
-    apply_reversal_qubit2,
     decay_sweep,
     dephasing_sweep,
-    fidelity_to_target,
     full_transfer_time,
-    initial_state,
     integrate,
-    m0_operator,
-    m1_operator,
-    q_formula,
-    reversal_operator,
     run_protocol,
     target_state,
     time_sweep,
 )
 from qstsim.cli import main as cli_main, parse_config
 
-from oracles import max_fidelity_over_time, nojump_protocol_oracle
+from oracles import (
+    apply_reversal_qubit2,
+    fidelity_to_target,
+    m0_operator,
+    m1_operator,
+    max_fidelity_over_time,
+    nojump_protocol_oracle,
+    q_formula,
+    reversal_operator,
+)
 
 SQRT2 = math.sqrt(2.0)
 BALANCED = QubitAmplitudes(1 / SQRT2, 1 / SQRT2)
@@ -71,7 +73,7 @@ def equal_rate_params(s, gamma_phi=0.0):
 def equal_rates_benchmark():
     """Numeric vs closed-form evolution for s = 0.5 g, p = 0.5, alpha = 0.6."""
     qubit = QubitAmplitudes(0.6, 0.8)
-    pre = apply_measurement_qubit1(initial_state(qubit), 0.5)
+    pre = apply_measurement_qubit1(qubit, 0.5)
     times = np.linspace(0.0, 10.0, 50)
     started = time.perf_counter()
     trajectory = integrate(equal_rate_params(0.5), pre.state, times)
@@ -135,7 +137,7 @@ def dephasing_curves():
                   p_values=(0.8,), include_baseline=False)
     )
     at_transfer = []
-    pre = apply_measurement_qubit1(initial_state(BALANCED), 0.8)
+    pre = apply_measurement_qubit1(BALANCED, 0.8)
     q = q_formula(0.8, 2.0, T_STAR)
     for gamma_phi in (0.0, 0.01, 0.1, 1.0):
         params = equal_rate_params(2.0, gamma_phi=gamma_phi)

@@ -4,15 +4,18 @@ files it wrote when the golden set was made.
 Headers and row counts must match exactly, and every value must agree
 within 1e-12 absolute, so a change that should leave the results alone
 needs no hand-run diff between commits.  After a change that is meant to
-move the results, regenerate the set and review its diff:
+move the results, regenerate the cases it moves and review their diff:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py fig3 sweep_decay
+
+With no case named, every case is regenerated.
 """
 
 import contextlib
 import io
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -108,14 +111,33 @@ def test_golden_output(tmp_path, capsys, name):
         np.testing.assert_allclose(got, expected, rtol=_RTOL, atol=_ATOL, err_msg=path.name)
 
 
-def regenerate() -> None:
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    GOLDEN.mkdir()
-    (GOLDEN / "cases.json").write_text(json.dumps(CASES, indent=1) + "\n")
-    for name, argv in CASES.items():
-        _run(argv, GOLDEN / name)
+def regenerate(names, golden: Path = GOLDEN) -> None:
+    """Rewrite cases.json and the directories of the named cases only."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise KeyError(f"no golden case {', '.join(unknown)}")
+    golden.mkdir(exist_ok=True)
+    (golden / "cases.json").write_text(json.dumps(CASES, indent=1) + "\n")
+    for name in names:
+        shutil.rmtree(golden / name, ignore_errors=True)
+        _run(CASES[name], golden / name)
+
+
+def test_regenerate_rewrites_only_the_named_case(tmp_path, capsys):
+    copy = tmp_path / "golden"
+    shutil.copytree(GOLDEN, copy)
+    for case in CASES:
+        (copy / case / "stale.csv").write_text("untouched\n")
+    regenerate(["fig2"], copy)
+    assert sorted(p.name for p in (copy / "fig2").iterdir()) == sorted(p.name for p in (GOLDEN / "fig2").iterdir())
+    for case in sorted(set(CASES) - {"fig2"}):
+        for path in (GOLDEN / case).iterdir():
+            assert (copy / case / path.name).read_bytes() == path.read_bytes(), (case, path.name)
+        assert (copy / case / "stale.csv").read_text() == "untouched\n"
+    with pytest.raises(KeyError):
+        regenerate(["no_such_case"], copy)
 
 
 if __name__ == "__main__":
     with contextlib.redirect_stdout(io.StringIO()):  # main prints every path it writes
-        regenerate()
+        regenerate(sys.argv[1:] or CASES)

@@ -7,9 +7,11 @@ this set checks the text.  CSV and SVG files must be byte-identical and each
 JSON document equal once ``meta.generated_at`` is dropped.  The runs write
 into a relative ``out`` directory, so ``meta.config`` records the same
 ``output-dir`` wherever the test runs.  After a change that is meant to move
-the bytes, regenerate the set and review its diff:
+the bytes, regenerate the cases it moves and review their diff:
 
-    PYTHONPATH=src python tests/test_golden_bytes.py
+    PYTHONPATH=src python tests/test_golden_bytes.py fig3
+
+With no case named, every case is regenerated.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import io
 import json
 import os
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,18 +76,37 @@ def test_golden_bytes(tmp_path, capsys, name):
             assert got.read_bytes() == expected.read_bytes(), expected.name
 
 
-def regenerate() -> None:
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    GOLDEN.mkdir()
-    (GOLDEN / "cases.json").write_text(json.dumps(CASES, indent=1) + "\n")
-    for name, argv in CASES.items():
-        (GOLDEN / name).mkdir()
-        _run(argv, GOLDEN / name)
-        for path in (GOLDEN / name / "out").iterdir():
-            path.rename(GOLDEN / name / path.name)
-        (GOLDEN / name / "out").rmdir()
+def regenerate(names, golden: Path = GOLDEN) -> None:
+    """Rewrite cases.json and the directories of the named cases only."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise KeyError(f"no golden case {', '.join(unknown)}")
+    golden.mkdir(exist_ok=True)
+    (golden / "cases.json").write_text(json.dumps(CASES, indent=1) + "\n")
+    for name in names:
+        shutil.rmtree(golden / name, ignore_errors=True)
+        (golden / name).mkdir()
+        _run(CASES[name], golden / name)
+        for path in (golden / name / "out").iterdir():
+            path.rename(golden / name / path.name)
+        (golden / name / "out").rmdir()
+
+
+def test_regenerate_rewrites_only_the_named_case(tmp_path, capsys):
+    copy = tmp_path / "golden_bytes"
+    shutil.copytree(GOLDEN, copy)
+    for case in CASES:
+        (copy / case / "stale.csv").write_text("untouched\n")
+    regenerate(["protocol"], copy)
+    assert sorted(p.name for p in (copy / "protocol").iterdir()) == sorted(
+        p.name for p in (GOLDEN / "protocol").iterdir()
+    )
+    for case in sorted(set(CASES) - {"protocol"}):
+        for path in (GOLDEN / case).iterdir():
+            assert (copy / case / path.name).read_bytes() == path.read_bytes(), (case, path.name)
+        assert (copy / case / "stale.csv").read_text() == "untouched\n"
 
 
 if __name__ == "__main__":
     with contextlib.redirect_stdout(io.StringIO()):  # main prints every path it writes
-        regenerate()
+        regenerate(sys.argv[1:] or CASES)

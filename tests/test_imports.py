@@ -7,10 +7,13 @@ counts as used when it appears anywhere in the module as a name (an
 attribute chain starts with one), inside a string annotation, or in the
 module's ``__all__``.  scipy is a test-only dependency, kept as an
 independent reference; an import of it anywhere in the package, inside a
-function or through importlib included, fails the scan.
+function or through importlib included, fails the scan.  The channel-level
+references live in ``tests/oracles.py`` alone, so that they share no
+definition with the code they check.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -186,3 +189,19 @@ def test_checker_flags_a_dead_private_name():
     assert dead_private_names(sources) == [
         ("a.py", "_ALSO_DEAD", 2), ("a.py", "_DEAD", 2), ("a.py", "_Unused", 6),
     ]
+
+
+# defined in tests/oracles.py and nowhere in the package
+_REFERENCES = (
+    "PAULI_X", "m0_operator", "m1_operator", "reversal_operator", "apply_reversal_qubit2",
+    "embed_qubit2_op", "CollapseTerm", "collapse_operators", "q_formula", "fidelity_to_target",
+)
+
+
+def test_references_live_in_the_oracles_only():
+    oracles = importlib.import_module("oracles")
+    assert all(hasattr(oracles, name) for name in _REFERENCES)
+    names = ["qstsim" if path.stem == "__init__" else f"qstsim.{path.stem}" for path in PACKAGE]
+    modules = [importlib.import_module(name) for name in names]
+    shared = [(module.__name__, name) for module in modules for name in _REFERENCES if hasattr(module, name)]
+    assert shared == []

@@ -12,14 +12,13 @@ from qstsim import (
     SystemParams,
     analytic_rho,
     apply_measurement_qubit1,
-    initial_state,
     integrate,
     lindblad,
     liouvillian,
     physicality_violations,
 )
 
-from oracles import lindblad_rhs
+from oracles import lindblad_rhs, liouvillian_by_terms
 
 
 def basis_projector(i):
@@ -71,7 +70,7 @@ def test_rhs_traceless_and_hermiticity_preserving():
 
 def test_closed_system_preserves_purity():
     params = SystemParams(1.0, 1.0)
-    pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.0)
+    pre = apply_measurement_qubit1(QubitAmplitudes(0.6, 0.8), 0.0)
     traj = integrate(params, pre.state, np.linspace(0.5, 20.0, 40))
     for state in traj:
         purity = np.trace(state @ state).real
@@ -80,7 +79,7 @@ def test_closed_system_preserves_purity():
 
 def test_matches_closed_forms_for_equal_rates():
     params = SystemParams(1.0, 1.0, kappa=0.5, gamma1=0.5, gamma2=0.5)
-    pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.5)
+    pre = apply_measurement_qubit1(QubitAmplitudes(0.6, 0.8), 0.5)
     times = np.linspace(0.0, 10.0, 50)
     traj = integrate(params, pre.state, times)
     worst = max(
@@ -92,7 +91,7 @@ def test_matches_closed_forms_for_equal_rates():
 
 def test_decay_reaches_ground():
     params = SystemParams(1.0, 1.0, kappa=0.5, gamma1=0.5, gamma2=0.5)
-    pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.0)
+    pre = apply_measurement_qubit1(QubitAmplitudes(0.6, 0.8), 0.0)
     traj = integrate(params, pre.state, [1000.0])
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 1.0
@@ -101,7 +100,7 @@ def test_decay_reaches_ground():
 
 def test_trace_and_positivity_along_trajectory():
     params = SystemParams(1.0, 1.0, kappa=0.7, gamma1=0.1, gamma2=0.4, gamma_phi=0.2)
-    pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.3)
+    pre = apply_measurement_qubit1(QubitAmplitudes(0.6, 0.8), 0.3)
     traj = integrate(params, pre.state, np.linspace(0.25, 12.0, 30))
     for state in traj:
         assert abs(np.trace(state).real - 1.0) < 1e-9
@@ -111,7 +110,7 @@ def test_trace_and_positivity_along_trajectory():
 
 def test_dephasing_suppresses_ground_qubit2_coherence():
     qubit = QubitAmplitudes(0.6, 0.8)
-    pre = apply_measurement_qubit1(initial_state(qubit), 0.5)
+    pre = apply_measurement_qubit1(qubit, 0.5)
     magnitudes = []
     for gamma_phi in (0.0, 0.01, 0.1, 1.0):
         params = SystemParams(1.0, 1.0, kappa=0.5, gamma1=0.5, gamma2=0.5,
@@ -149,10 +148,25 @@ def test_liouvillian_matches_rhs():
             )
 
 
+_rate = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(1e-300, 1e-3))
+
+
+# zero drawn often for each rate, so that channels drop out in every combination
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    g1=st.floats(0.0, 2.0),
+    g2=st.floats(0.2, 2.0),
+    rates=st.tuples(_rate, _rate, _rate, _rate),
+)
+def test_liouvillian_equals_the_term_by_term_assembly(g1, g2, rates):
+    params = SystemParams(g1, g2, *rates[:3], gamma_phi=rates[3])
+    assert np.array_equal(liouvillian(params), liouvillian_by_terms(params))
+
+
 def test_propagation_composes():
     # P(t1 + t2) = P(t2) P(t1): one long step equals two shorter ones
     params = SystemParams(1.0, 0.6, kappa=0.9, gamma1=0.2, gamma2=0.4, gamma_phi=0.3)
-    pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8j)), 0.4)
+    pre = apply_measurement_qubit1(QubitAmplitudes(0.6, 0.8j), 0.4)
     t1, t2 = 0.7, 1.9
     direct = integrate(params, pre.state, [t1 + t2])[-1]
     middle = integrate(params, pre.state, [t1])[-1]
@@ -162,14 +176,14 @@ def test_propagation_composes():
 
 def test_zero_time_sample_is_the_initial_state():
     params = SystemParams(1.0, 1.0, kappa=0.5, gamma1=0.5, gamma2=0.5)
-    pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.5)
+    pre = apply_measurement_qubit1(QubitAmplitudes(0.6, 0.8), 0.5)
     traj = integrate(params, pre.state, [0.0, 1.0])
     np.testing.assert_array_equal(traj[0], 0.5 * (pre.state + pre.state.conj().T))
 
 
 def test_stiff_dephasing_stays_physical():
     params = SystemParams(1.0, 1.0, kappa=2.0, gamma1=2.0, gamma2=2.0, gamma_phi=1e6)
-    pre = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8)), 0.8)
+    pre = apply_measurement_qubit1(QubitAmplitudes(0.6, 0.8), 0.8)
     traj = integrate(params, pre.state, np.linspace(0.0, 6.0, 241))
     for state in traj:
         assert physicality_violations(state) == []
@@ -267,7 +281,7 @@ _amplitudes = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
 )
 def test_scaled_state_matches_the_closed_form(qubit, p, s, t, g1, g2):
     # the qubit-2 row and column carry e^{st/2}: finite where e^{-st} underflows
-    pre = apply_measurement_qubit1(initial_state(qubit), p)
+    pre = apply_measurement_qubit1(qubit, p)
     numeric = integrate(SystemParams(g1, g2, s, s, s), pre.state, [t], scaled=True)[-1]
     expected = analytic_rho(qubit, p, s, t, g1, g2, scaled=True)
     np.testing.assert_allclose(numeric, expected, rtol=0, atol=1e-12)
@@ -289,7 +303,7 @@ def test_scaled_state_near_a_high_precision_reference(rates, gamma_phi, t):
     # on the qubit-2 row and column
     mpmath = pytest.importorskip("mpmath")
     params = SystemParams(1.0, 1.0, *rates, gamma_phi=gamma_phi)
-    rho0 = apply_measurement_qubit1(initial_state(QubitAmplitudes(0.6, 0.8j)), 0.3).state
+    rho0 = apply_measurement_qubit1(QubitAmplitudes(0.6, 0.8j), 0.3).state
     scaled = integrate(params, rho0, [t], scaled=True)[0]
     a_exc = lindblad.decay_frame(params)[1]
     assert a_exc <= 0.0

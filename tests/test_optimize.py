@@ -16,16 +16,17 @@ def root_max(f, points, first_lo=None):
 
 
 def with_slope(value, slope):
-    """The objective of the search: values and slopes at the same abscissae."""
-    return lambda x: (value(x), slope(x))
+    """The objective of the search: the values, and on request the slopes,
+    at the same abscissae."""
+    return lambda x, slopes: (value(x), slope(x)) if slopes else value(x)
 
 
 def counted(f):
     """f, counting its calls in ``calls``."""
 
-    def wrapper(x):
+    def wrapper(x, slopes):
         wrapper.calls += 1
-        return f(x)
+        return f(x, slopes)
 
     wrapper.calls = 0
     return wrapper
@@ -130,6 +131,28 @@ def test_non_finite_grid_value_raises():
         root_max(nan_above_one, np.linspace(0, 2, 5))
 
 
+def test_non_finite_slope_next_to_the_best_point_raises():
+    nan_slope = with_slope(lambda x: -((x - 1.0) ** 2), lambda x: np.where(x > 1.4, math.nan, -2.0 * (x - 1.0)))
+    with pytest.raises(FloatingPointError):
+        root_max(nan_slope, np.linspace(0, 2, 5))
+    # a slope nobody reads may be anything
+    x, _ = root_max(nan_slope, np.linspace(0, 2, 9))
+    assert abs(x - 1.0) <= 2 * math.ulp(1.0)
+
+
+def test_scan_reads_values_only():
+    calls = []
+
+    def recording(x, slopes):
+        calls.append((np.shape(x), slopes))
+        return with_slope(np.cos, lambda x: -np.sin(x))(x, slopes)
+
+    root_max(recording, np.linspace(4.0, 9.0, 11))
+    assert calls[0] == ((1, 11), False)
+    assert calls[1] == ((1, 3), True)  # the best point and its neighbours
+    assert all(slopes and shape[1] <= 3 for shape, slopes in calls[1:])
+
+
 def test_first_lo_opens_the_bracket_below_the_grid():
     # the peak at 0.05 lies before the first grid point; only a bracket
     # opened down to first_lo can reach it
@@ -146,7 +169,7 @@ def test_maximum_at_the_window_end():
     rising = counted(with_slope(lambda x: np.log1p(x), lambda x: 1.0 / (1.0 + x)))
     x, fx = root_max(rising, np.linspace(0.5, 4.0, 8))
     assert (x, fx) == (4.0, np.log1p(4.0))
-    assert rising.calls == 2  # the scan and the bracket's ends, no step
+    assert rising.calls == 2  # the scan and the slopes about its best point, no step
 
 
 def test_bracket_without_a_sign_change_ends_at_once():

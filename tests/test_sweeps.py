@@ -297,7 +297,7 @@ def test_closed_form_outcome_matches_run_protocol(qubit, p, s, t, formula):
         transfer_time=t,
     )
     outcome = run_protocol(spec)
-    fidelity, success, slope = closed_form_outcome(qubit, p, s, t, formula)
+    fidelity, success, slope = closed_form_outcome(qubit, p, s, t, formula, slope=True)
     assert abs(fidelity - outcome.fidelity) <= 1e-12
     assert abs(success - outcome.reversal_success) <= 1e-12
     # the slope against a central difference of run_protocol's fidelity,
