@@ -9,16 +9,13 @@ from .core import (
     PHOTON,
     QUBIT1,
     QUBIT2,
-    SIGMA_Z1,
-    SIGMA_Z2,
     QubitAmplitudes,
     SystemParams,
-    hamiltonian,
     initial_state,
     physicality_violations,
     target_state,
 )
-from .lindblad import integrate, liouvillian
+from .lindblad import integrate
 from .measurement import (
     PostSelectedState,
     ZeroProbability,
@@ -52,8 +49,6 @@ __all__ = [
     "QUBIT1",
     "QUBIT2",
     "QubitAmplitudes",
-    "SIGMA_Z1",
-    "SIGMA_Z2",
     "SweepResult",
     "SweepSpec",
     "SystemParams",
@@ -63,10 +58,8 @@ __all__ = [
     "decay_sweep",
     "dephasing_sweep",
     "full_transfer_time",
-    "hamiltonian",
     "initial_state",
     "integrate",
-    "liouvillian",
     "physicality_violations",
     "run_protocol",
     "target_state",

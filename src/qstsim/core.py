@@ -22,12 +22,6 @@ import numpy as np
 DIM = 4
 GROUND, QUBIT1, PHOTON, QUBIT2 = range(DIM)
 
-# sigma_z of each qubit embedded in the composite basis.  Sign convention:
-# sigma_z|1> = +|1>, sigma_z|0> = -|0>.  Qubit 1 is excited only in basis
-# state 1, qubit 2 only in basis state 3.
-SIGMA_Z1 = np.diag([-1.0, 1.0, -1.0, -1.0]).astype(complex)
-SIGMA_Z2 = np.diag([-1.0, -1.0, -1.0, 1.0]).astype(complex)
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -94,19 +88,6 @@ def initial_state(qubit: QubitAmplitudes) -> np.ndarray:
 def target_state(qubit: QubitAmplitudes) -> np.ndarray:
     """|0>_1 (alpha|0> + beta|1>)_2 |0>_c, the transferred state."""
     return np.array([qubit.alpha, 0.0, 0.0, qubit.beta], dtype=complex)
-
-
-def hamiltonian(params: SystemParams) -> np.ndarray:
-    """Resonant excitation-exchange Hamiltonian in the truncated basis.
-
-    Qubit 1 and the resonator swap the excitation at rate g1, the resonator
-    and qubit 2 at rate g2.  The joint ground state is decoupled, so row and
-    column 0 are identically zero.  Hermitian by construction.
-    """
-    h = np.zeros((DIM, DIM), dtype=complex)
-    h[QUBIT1, PHOTON] = h[PHOTON, QUBIT1] = params.g1
-    h[PHOTON, QUBIT2] = h[QUBIT2, PHOTON] = params.g2
-    return h
 
 
 def physicality_violations(

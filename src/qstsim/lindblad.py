@@ -1,18 +1,22 @@
 """Exact master-equation propagation for arbitrary decay and dephasing rates.
 
-The generator does not depend on time, so the master equation is solved
-exactly by a matrix exponential: with the row-major vectorization
-vec(rho)[4i + j] = rho[i, j], d vec(rho)/dt = L vec(rho) for a constant 16x16
-Liouvillian L, and vec(rho(t)) = exp(L t) vec(rho(0)).  The exponential is
-the numpy scaling-and-squaring Pade propagator :func:`expm_stack`, so the
-cost does not depend on how stiff the rates are and only numpy is needed.
+Every jump of the model, photon loss or either qubit's emission, lands in the
+dark ground state, and dephasing only damps coherences, so the master
+equation splits (Plenio & Knight, Rev. Mod. Phys. 70, 101 (1998)): the 9
+excited entries rho[1:, 1:] and the 3 ground coherences rho[0, 1:] evolve on
+their own under the no-jump block of the generator, rho[1:, 0] is the
+conjugate of rho[0, 1:], and rho00 takes the trace deficit.  That generator
+does not depend on time, so the 12 entries are propagated exactly by a
+matrix exponential, the numpy scaling-and-squaring Pade propagator
+:func:`expm_stack`; the cost does not depend on how stiff the rates are and
+only numpy is needed.
 """
 
 import functools
 
 import numpy as np
 
-from .core import DIM, GROUND, PHOTON, QUBIT1, QUBIT2, SIGMA_Z1, SIGMA_Z2, SystemParams, hamiltonian
+from .core import DIM, GROUND, QUBIT2, SystemParams
 
 
 # b_0..b_13 of the degree-13 Pade approximant to exp, and the 1-norm
@@ -23,6 +27,7 @@ _PADE13 = (
     1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
+_SLACK = 1e-9  # what rounding may take from a population
 
 
 def expm_stack(a: np.ndarray) -> np.ndarray:
@@ -54,46 +59,9 @@ def expm_stack(a: np.ndarray) -> np.ndarray:
     return x
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two DIM x DIM matrices, as one broadcast outer product."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(DIM * DIM, DIM * DIM)
-
-
-def _lowering(src: int) -> np.ndarray:
-    """|ground><src|: photon loss and either qubit's emission all deposit the
-    excitation in the joint ground state."""
-    op = np.zeros((DIM, DIM), dtype=complex)
-    op[GROUND, src] = 1.0
-    return op
-
-
-def liouvillian(params: SystemParams) -> np.ndarray:
-    """The 16x16 generator L with vec(d rho/dt) = L vec(rho), row-major vec.
-
-    -i[H, rho] plus the dissipator rate (L rho L^+ - {L^+ L, rho}/2) of each
-    channel with a positive rate: the lowering operators of photon loss and
-    qubit emission, and, for dephasing, each qubit's sigma_z at rate
-    gamma_phi/2, which is (gamma_phi/2)(Z rho Z - rho) as Z^+ Z = 1.
-    Assembled with vec(A rho B) = (A kron B^T) vec(rho).
-    """
-    eye = np.eye(DIM)
-    h = hamiltonian(params)
-    gen = -1j * (_kron(h, eye) - _kron(eye, h.T))
-    channels = (
-        (_lowering(PHOTON), params.kappa),
-        (_lowering(QUBIT1), params.gamma1),
-        (_lowering(QUBIT2), params.gamma2),
-        (SIGMA_Z1, 0.5 * params.gamma_phi),
-        (SIGMA_Z2, 0.5 * params.gamma_phi),
-    )
-    for op, rate in channels:
-        if rate > 0:
-            ldl = op.conj().T @ op
-            gen += rate * (_kron(op, op.conj()) - 0.5 * (_kron(ldl, eye) + _kron(eye, ldl.T)))
-    return gen
-
-
-_EXCITED = np.outer(np.arange(DIM) > 0, np.arange(DIM) > 0)  # rho[i, j] with i, j > 0
+# n_ij: the qubits excited in exactly one of basis states i and j (qubit 1
+# in state 1, qubit 2 in state 3); dephasing damps rho[i, j] at gamma_phi n_ij
+_DEPHASED = np.array([[0, 1, 0, 1], [1, 0, 1, 2], [0, 1, 0, 1], [1, 2, 1, 0]])
 
 
 def _abscissa(block: np.ndarray) -> float:
@@ -105,19 +73,38 @@ def _abscissa(block: np.ndarray) -> float:
 
 @functools.lru_cache(maxsize=1)  # integrate and its caller read one frame
 def decay_frame(params: SystemParams) -> tuple[np.ndarray, float, float]:
-    """The generator of the 15 entries other than rho00 in the decay frame,
-    and the spectral abscissae it removes: a_exc <= 0 of the 9 excited
-    entries, a_coh <= a_exc / 2 of the 6 ground coherences (-s and -s/2 at
-    equal rates s), clipped to those bounds against rounding."""
-    gen = liouvillian(params)[1:, 1:]
-    excited = _EXCITED.reshape(-1)[1:]
-    a_exc = min(_abscissa(gen[np.ix_(excited, excited)]), 0.0)
-    a_coh = min(_abscissa(gen[np.ix_(~excited, ~excited)]), 0.5 * a_exc)
-    gen -= np.diag(np.where(excited, a_exc, a_coh))
+    """The generator of the 12 propagated entries in the decay frame, and
+    the spectral abscissae it removes.
+
+    The entries are the 9 excited ones, rho[1:, 1:] row by row, then the 3
+    ground coherences rho[0, 1:].  With the no-jump block X = -iH -
+    diag(gamma1, kappa, gamma2)/2 on (qubit 1, photon, qubit 2), the
+    generator is X kron 1 + 1 kron conj(X) on the first and conj(X) on the
+    second, less gamma_phi n_ij on entry (i, j).  a_exc <= 0 and a_coh <=
+    a_exc / 2 (-s and -s/2 at equal rates s) are those of the two blocks,
+    clipped to those bounds against rounding.
+    """
+    g1, g2 = params.g1, params.g2
+    h = np.array([[0.0, g1, 0.0], [g1, 0.0, g2], [0.0, g2, 0.0]], dtype=complex)
+    x = -1j * h - 0.5 * np.diag([params.gamma1, params.kappa, params.gamma2])
+    gen = np.zeros((12, 12), dtype=complex)
+    eye = np.eye(3)
+    # X kron 1 + 1 kron conj(X), as broadcast outer products
+    gen[:9, :9] = (
+        x[:, None, :, None] * eye[None, :, None, :] + eye[:, None, :, None] * x.conj()[None, :, None, :]
+    ).reshape(9, 9)
+    gen[9:, 9:] = x.conj()
+    gen -= params.gamma_phi * np.diag(np.append(_DEPHASED[1:, 1:], _DEPHASED[0, 1:]))
+    a_exc = min(_abscissa(gen[:9, :9]), 0.0)
+    a_coh = min(_abscissa(gen[9:, 9:]), 0.5 * a_exc)
+    gen -= np.diag(np.repeat([a_exc, a_coh], [9, 3]))
     gen.setflags(write=False)
     return gen, a_exc, a_coh
 
 
+# a step that overflows, in the squarings or after, leaves a state that is
+# not finite, which integrate reports
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     params: SystemParams,
     rho0: np.ndarray,
@@ -130,7 +117,7 @@ def integrate(
 
     sample_times must be finite, non-negative and strictly increasing; a
     sample at t = 0 is rho0.  The ground population is the trace deficit,
-    and the other 15 entries are propagated in the decay_frame, where
+    and the other 12 entries are propagated in the decay_frame, where
     nothing underflows.  With scaled, the qubit-2 row and column keep
     lambda = e^{-a_exc t/2} (e^{st/2} at equal rates, as in analytic_rho):
     lambda^2 rho33 is a frame entry and lambda rho03 one times e^{(a_coh -
@@ -138,11 +125,15 @@ def integrate(
 
     Each sample is reached from the previous one by the propagator
     exp(G * gap), one per distinct exact float gap, all from one expm_stack
-    evaluation, so a uniform grid costs a handful of propagators.  Every
-    sample is Hermitized, rho <- (rho + rho^+)/2, and the next step starts
-    from it.  A given input always reproduces the same output bit for bit.
+    evaluation, so a uniform grid costs a handful of propagators.  At every
+    sample the excited block is Hermitized, rho <- (rho + rho^+)/2, and the
+    next step starts from it; rho[1:, 0] is the conjugate of rho[0, 1:].  A
+    given input always reproduces the same output bit for bit.
 
-    Raises FloatingPointError if a state is not finite.
+    Raises FloatingPointError if a state is not finite, or not positive: a
+    population below -1e-9, or some |rho_ij|^2 above (rho_ii + 1e-9)(rho_jj
+    + 1e-9), which lambda does not change; the rounding of the squarings
+    grows that far over long steps, or over many moderately long ones.
     """
     samples = np.asarray(sample_times, dtype=float)
     if samples.size == 0:
@@ -160,21 +151,27 @@ def integrate(
     gen, a_exc, a_coh = decay_frame(params)
     x = 0.5 * (rho + rho.conj().T)
     ground0 = x[0, 0].real
-    x[0, 0] = 0.0
-    excited0 = np.trace(x).real
+    excited0 = np.trace(x[1:, 1:]).real
     gaps = np.diff(samples, prepend=0.0)
     distinct = np.unique(gaps[gaps > 0])
     propagators = dict(zip(distinct.tolist(), expm_stack(gen * distinct[:, None, None])))
-    frame = np.empty((samples.size, DIM, DIM), dtype=complex)
+    entries = np.empty((samples.size, 12), dtype=complex)
+    v = np.append(x[1:, 1:], x[0, 1:])
     for i, gap in enumerate(gaps.tolist()):
         if gap > 0:
-            x = np.append(0.0, propagators[gap] @ x.reshape(-1)[1:]).reshape(DIM, DIM)
-        x = 0.5 * (x + x.conj().T)
-        frame[i] = x
+            v = propagators[gap] @ v
+            block = v[:9].reshape(3, 3)
+            v[:9] = (0.5 * (block + block.conj().T)).reshape(-1)
+        entries[i] = v
+    frame = np.zeros((samples.size, DIM, DIM), dtype=complex)
+    frame[:, 1:, 1:] = entries[:, :9].reshape(-1, 3, 3)
+    frame[:, 0, 1:] = entries[:, 9:]
+    frame[:, 1:, 0] = entries[:, 9:].conj()
 
     # back from the frame, with lambda when scaled; the ground population
     # from the true excited one
-    rates = np.where(_EXCITED, a_exc, a_coh)
+    rates = np.full((DIM, DIM), a_coh)
+    rates[1:, 1:] = a_exc
     if scaled:
         rates[QUBIT2, :] -= 0.5 * a_exc
         rates[:, QUBIT2] -= 0.5 * a_exc
@@ -184,4 +181,13 @@ def integrate(
     bad = ~np.isfinite(states).all(axis=(1, 2))
     if bad.any():
         raise FloatingPointError(f"state is not finite at t = {samples[bad.argmax()]:.6g}")
+    # rounding grown through many squarings shows as a population below
+    # -_SLACK, or as a coherence larger than its two populations allow
+    populations = states.diagonal(axis1=1, axis2=2).real
+    root = np.sqrt(np.maximum(populations, 0.0) + _SLACK)
+    bad = (populations < -_SLACK).any(axis=1) | (
+        np.abs(states) > root[:, :, None] * root[:, None, :]
+    ).any(axis=(1, 2))
+    if bad.any():
+        raise FloatingPointError(f"state is not positive at t = {samples[bad.argmax()]:.6g}")
     return states

@@ -132,11 +132,12 @@ def svg_line_plot(
         f'transform="rotate(-90 22 {top + plot_h / 2:.1f})">{y_label}</text>'
     )
 
-    px = sx(x).tolist()
+    px = sx(x)
+    template = " ".join(["%.2f,%.2f"] * len(px))
     for k, (label, values) in enumerate(series.items()):
         color = _PALETTE[k % len(_PALETTE)]
-        py = sy(np.asarray(values, dtype=float)).tolist()
-        points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+        py = sy(np.asarray(values, dtype=float))
+        points = template % tuple(np.column_stack((px, py)).ravel().tolist())
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'

@@ -5,13 +5,14 @@ defines what it needs itself rather than sharing it with the code it
 checks: the channel-level protocol (the partial-measurement Kraus pair, the
 reversal as its three-step product, the reversal channel on the composite
 system and the overlap with the target) instead of the closed-form
-reversal outcome; the jump operators and the master equation term by term
-instead of through the Liouvillian; the no-jump branch as a pure state
-propagated by scipy's matrix exponential of the effective non-Hermitian
-generator instead of the closed forms or the package's own propagator; and
-the best fidelity over the reversal time by a golden-section search on the
-fidelity alone, one run_protocol call per time, instead of the root of the
-slope for a whole batch.
+reversal outcome; the Hamiltonian, the jump operators and the master
+equation term by term, as the 16x16 Liouvillian, instead of the two blocks
+that the propagator builds from the rates; the no-jump branch as a pure
+state propagated by scipy's matrix exponential of the effective
+non-Hermitian generator instead of the closed forms or the package's own
+propagator; and the best fidelity over the reversal time by a
+golden-section search on the fidelity alone, one run_protocol call per
+time, instead of the root of the slope for a whole batch.
 """
 
 import math
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import expm
 
-from qstsim.core import QubitAmplitudes, SystemParams, hamiltonian
+from qstsim.core import QubitAmplitudes, SystemParams
 from qstsim.protocol import ProtocolSpec, full_transfer_time, run_protocol
 
 # the composite basis: ground, qubit 1 excited, one photon, qubit 2 excited
@@ -93,6 +94,16 @@ def fidelity_to_target(rho: np.ndarray, qubit: QubitAmplitudes) -> float:
     """<target| rho |target> with the target alpha|ground> + beta|qubit 2 excited>."""
     phi = np.array([qubit.alpha, 0.0, 0.0, qubit.beta], dtype=complex)
     return float(np.real(np.vdot(phi, rho @ phi)))
+
+
+def hamiltonian(params: SystemParams) -> np.ndarray:
+    """The resonant exchange Hamiltonian in the composite basis: qubit 1 and
+    the photon swap at rate g1, the photon and qubit 2 at rate g2, and the
+    ground state is decoupled."""
+    h = np.zeros((4, 4), dtype=complex)
+    h[QUBIT1, PHOTON] = h[PHOTON, QUBIT1] = params.g1
+    h[PHOTON, QUBIT2] = h[QUBIT2, PHOTON] = params.g2
+    return h
 
 
 class CollapseTerm(NamedTuple):

@@ -3,7 +3,8 @@
 Argvs are drawn from the option schemas of the commands in ``cli._COMMANDS``
 and run in process by ``main``.  Every run must end in exit 0, 3 or 4; an
 exit 3 names a key of the command's schema; a run that succeeds writes only
-finite numbers, with every fidelity and success probability in [0, 1]; and
+finite numbers, with every fidelity and success probability in [0, 1] and
+every population within 1e-9 of it; and
 scaling both couplings by a power of two, which the CLI divides out exactly,
 changes no byte.
 """
@@ -15,7 +16,7 @@ import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qstsim.cli import _COMMANDS, main
 
@@ -59,13 +60,14 @@ def _amplitudes(draw) -> dict:
 
 @st.composite
 def _grid(draw, command: str) -> dict:
-    """A small grid whose stop may lie within a few ulps of its start."""
+    """A small grid whose stop may lie within a few ulps of its start, and
+    a time grid that may span up to 1e20."""
     if command == "fig3":  # a log grid of decay ratios
         start = draw(_log_uniform(-3.0, 3.0))
     else:
         start = draw(st.just(0.0) | st.floats(0.0, 10.0))
     if draw(st.booleans()):
-        stop = start + draw(_log_uniform(-2.0, 2.0))
+        stop = start + draw(_log_uniform(-2.0, 2.0 if command == "fig3" else 20.0))
     else:
         stop = start
         for _ in range(draw(st.integers(1, 6))):
@@ -84,7 +86,7 @@ def _draws(command: str) -> dict:
         "p": _labels(_strength) if overlay else _strength,
         "q-rule": st.sampled_from(["formula", "fixed", "optimal"]),
         "q": _strength,
-        "gt": st.just(0.0) | _log_uniform(-3.0, 3.0),
+        "gt": st.just(0.0) | _log_uniform(-3.0, 20.0),
         "engine": st.sampled_from(["analytic", "numeric"]),
         "sigma-z": st.booleans(),
         "gamma-phi-over-g": _labels(_rate) if command == "fig4" else _rate,
@@ -158,8 +160,16 @@ def _check_csv(name: str, content: bytes) -> None:
             assert math.isfinite(value), (name, column, cell)
             if "fidelity" in column or "success" in column:
                 assert 0.0 <= value <= 1.0, (name, column, cell)
+            if column.startswith("pop_"):  # the numeric engine's, to its accuracy
+                assert -1e-9 <= value <= 1.0 + 1e-9, (name, column, cell)
 
 
+# long times, where the squarings of the numeric propagator lose the state
+@example(
+    run=("protocol", {"engine": "numeric", "q-rule": "optimal", "p": 0.3, "s-over-g": 0.5, "gt": 1e18}, None)
+)
+@example(run=("fig4", {"grid-stop": 1e18, "grid-points": 3}, None))
+@example(run=("evolve", {"grid-stop": 1e16, "grid-points": 3}, None))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(run=_runs())
 def test_every_drawn_run_exits_cleanly(run):

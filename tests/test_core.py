@@ -8,10 +8,9 @@ from qstsim import (
     QUBIT2,
     QubitAmplitudes,
     SystemParams,
-    hamiltonian,
 )
 
-from oracles import CollapseTerm, collapse_operators, embed_qubit2_op
+from oracles import CollapseTerm, collapse_operators, embed_qubit2_op, hamiltonian
 
 
 def test_hamiltonian_equal_couplings():

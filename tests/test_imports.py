@@ -195,6 +195,7 @@ def test_checker_flags_a_dead_private_name():
 _REFERENCES = (
     "PAULI_X", "m0_operator", "m1_operator", "reversal_operator", "apply_reversal_qubit2",
     "embed_qubit2_op", "CollapseTerm", "collapse_operators", "q_formula", "fidelity_to_target",
+    "hamiltonian", "SIGMA_Z1", "SIGMA_Z2",
 )
 
 

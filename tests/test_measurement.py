@@ -5,13 +5,12 @@ import pytest
 
 from qstsim import (
     QubitAmplitudes,
-    SIGMA_Z2,
     ZeroProbability,
     apply_measurement_qubit1,
     initial_state,
 )
 
-from oracles import apply_reversal_qubit2, m0_operator, m1_operator, reversal_operator
+from oracles import SIGMA_Z2, apply_reversal_qubit2, m0_operator, m1_operator, reversal_operator
 
 
 def test_m0_limits():

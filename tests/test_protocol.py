@@ -484,6 +484,17 @@ def test_fidelity_to_target_invariant(spec):
     assert abs(outcome.fidelity - fidelity_to_target(outcome.final_state, spec.qubit)) <= 1e-12
 
 
+# rho03 carries alpha conj(beta), so the phase of beta cancels in Re(beta
+# rho03), the only place the target sees it
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spec=_protocol_specs(), phi=st.floats(0.0, 2 * math.pi))
+def test_the_phase_of_beta_changes_nothing(spec, phi):
+    turned = QubitAmplitudes(spec.qubit.alpha, spec.qubit.beta * cmath.exp(1j * phi))
+    one, other = run_protocol(spec), run_protocol(replace(spec, qubit=turned))
+    assert abs(one.fidelity - other.fidelity) <= 1e-12
+    assert abs(one.success_probability - other.success_probability) <= 1e-12 * one.success_probability
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(spec=_optimize_specs())
 def test_optimize_q_beats_a_dense_grid(spec):
