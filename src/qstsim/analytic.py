@@ -22,15 +22,16 @@ def transfer_amplitudes(g1: float, g2: float, t):
 
         c2(t) = (g1^2 cos(rt) + g2^2) / r^2        amplitude left on qubit 1
         c3(t) = -i (g1/r) sin(rt)                  amplitude on the photon
-        c4(t) = g1 g2 (cos(rt) - 1) / r^2          amplitude on qubit 2
+        c4(t) = -2 g1 g2 sin^2(rt/2) / r^2         amplitude on qubit 2
 
-    Returns c2, i c3 and c4, which are all real; t broadcasts.
+    Returns c2, i c3 and c4, which are all real; t broadcasts.  c4 is
+    formed from sin^2(rt/2), as cos(rt) - 1 loses its digits at small rt.
     """
     r2 = g1 * g1 + g2 * g2
     rt = math.sqrt(r2) * np.asarray(t, dtype=float)
     cos_rt = np.cos(rt)
     c2 = (g1 * g1 * cos_rt + g2 * g2) / r2
-    c4 = g1 * g2 * (cos_rt - 1.0) / r2
+    c4 = -2.0 * g1 * g2 * np.sin(0.5 * rt) ** 2 / r2
     return c2, g1 * np.sin(rt) / math.sqrt(r2), c4
 
 

@@ -245,18 +245,12 @@ def _build_protocol(values) -> ProtocolSpec:
     """The spec of protocol, or of optimize-q, which has no q-rule and runs
     the optimal one.  The resolved reversal time is written back to gt, so
     that meta.config replays it."""
-    params = _system_params(values)
-    q = values.get("q")
-    if values.get("q-rule") == "fixed" and (q is None or not 0.0 <= q < 1.0):
-        raise ValueError("q-rule 'fixed' needs 'q' in [0, 1)")
-    if values["gt"] is None and params.g1 != params.g2:
-        raise ValueError("'gt' must be given when g1 != g2")
     spec = ProtocolSpec(
         qubit=_qubit(values),
-        params=params,
+        params=_system_params(values),
         p=values["p"],
         q_rule=values.get("q-rule", "optimal"),
-        q_value=q,
+        q_value=values.get("q"),
         transfer_time=values["gt"],
         engine=values["engine"],
         apply_sigma_z=values["sigma-z"],

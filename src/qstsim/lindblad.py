@@ -30,6 +30,13 @@ _THETA13 = 5.371920351148152
 _SLACK = 1e-9  # what rounding may take from a population
 
 
+def _squarings(norm: np.ndarray) -> np.ndarray:
+    """ceil(log2(norm / theta_13)), at least 0: the squarings that follow the
+    approximant of a matrix of 1-norm norm."""
+    mantissa, exponent = np.frexp(norm / _THETA13)
+    return np.maximum(exponent - (mantissa == 0.5), 0)
+
+
 def expm_stack(a: np.ndarray) -> np.ndarray:
     """exp of every matrix in a stack of shape (k, n, n).
 
@@ -39,8 +46,7 @@ def expm_stack(a: np.ndarray) -> np.ndarray:
     and its approximant is squared s times.  Every matrix comes out as it
     would alone; an empty stack gives an empty stack.
     """
-    mantissa, exponent = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)
-    s = np.maximum(exponent - (mantissa == 0.5), 0)  # ceil(log2(norm / theta_13)), at least 0
+    s = _squarings(np.abs(a).sum(axis=-2).max(axis=-1))
     a = a * np.ldexp(1.0, -s)[:, None, None]
     b = _PADE13
     eye = np.eye(a.shape[-1])
@@ -130,10 +136,12 @@ def integrate(
     next step starts from it; rho[1:, 0] is the conjugate of rho[0, 1:].  A
     given input always reproduces the same output bit for bit.
 
-    Raises FloatingPointError if a state is not finite, or not positive: a
-    population below -1e-9, or some |rho_ij|^2 above (rho_ii + 1e-9)(rho_jj
-    + 1e-9), which lambda does not change; the rounding of the squarings
-    grows that far over long steps, or over many moderately long ones.
+    Each of the s squarings of a propagator doubles its rounding, to about
+    eps 2^s, and the steps add theirs up.  Raises FloatingPointError where
+    that sum exceeds 1e-9, as it does from g t of about 5.6e6 on at equal
+    rates; and if a state is not finite, or not positive: a population
+    below -1e-9, or some |rho_ij|^2 above (rho_ii + 1e-9)(rho_jj + 1e-9),
+    which lambda does not change.
     """
     samples = np.asarray(sample_times, dtype=float)
     if samples.size == 0:
@@ -153,7 +161,16 @@ def integrate(
     ground0 = x[0, 0].real
     excited0 = np.trace(x[1:, 1:]).real
     gaps = np.diff(samples, prepend=0.0)
-    distinct = np.unique(gaps[gaps > 0])
+    distinct, counts = np.unique(gaps[gaps > 0], return_counts=True)
+    # the propagated entries came within 0.8 eps 2^s of 50-digit ones at
+    # equal rates for g t from 1e2 to 1e12, and under gamma_phi up to 1e6
+    squarings = _squarings(np.abs(gen).sum(axis=0).max() * distinct)
+    rounding = np.finfo(float).eps * (counts * np.ldexp(1.0, squarings)).sum()
+    if rounding > _SLACK:
+        raise FloatingPointError(
+            f"the squarings of the propagators to t = {samples[-1]:.6g} may round the state"
+            f" by {rounding:.2g}, above {_SLACK:g}"
+        )
     propagators = dict(zip(distinct.tolist(), expm_stack(gen * distinct[:, None, None])))
     entries = np.empty((samples.size, 12), dtype=complex)
     v = np.append(x[1:, 1:], x[0, 1:])

@@ -100,10 +100,10 @@ class ProtocolSpec:
     def __post_init__(self):
         check_strength(self.p)
         if self.q_rule not in ("formula", "fixed", "optimal"):
-            raise ValueError(f"unknown q_rule {self.q_rule!r}")
+            raise ValueError(f"unknown q_rule ('q-rule') {self.q_rule!r}")
         if self.q_rule == "fixed":
             if self.q_value is None or not 0.0 <= self.q_value < 1.0:
-                raise ValueError("q_rule 'fixed' needs q_value in [0, 1)")
+                raise ValueError("q_rule ('q-rule') 'fixed' needs q_value ('q') in [0, 1)")
         if self.engine not in ("analytic", "numeric"):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.engine == "analytic":
@@ -117,12 +117,12 @@ class ProtocolSpec:
             )
         if self.transfer_time is None:
             if self.params.g1 != self.params.g2:
-                raise ValueError("transfer_time must be given when g1 != g2")
+                raise ValueError("transfer_time ('gt') must be given when g1 != g2")
             object.__setattr__(
                 self, "transfer_time", full_transfer_time(self.params.g1)
             )
         elif not self.transfer_time >= 0:
-            raise ValueError("transfer_time must be non-negative")
+            raise ValueError("transfer_time ('gt') must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -98,6 +98,15 @@ def test_numeric_failure_exit_code(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("gt", ["1e8", "1e12"])
+def test_numeric_engine_refuses_times_its_rounding_cannot_reach(tmp_path, capsys, gt):
+    # the squarings of exp(G t) would round the state by 3e-8 and 2e-4
+    argv = ["protocol", "--engine", "numeric", "--q-rule", "optimal", "--p", "0.3", "--s-over-g", "0.5"]
+    assert run_cli(argv + ["--gt", gt, "--output-dir", tmp_path]) == 4
+    assert "squarings of the propagators" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_io_failure_exit_code(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

@@ -289,6 +289,22 @@ def test_non_finite_state_raises():
         integrate(SystemParams(1.0, 1.0, kappa=0.5), rho0, [1.0])
 
 
+@pytest.mark.parametrize("gt", [1e2, 1e4, 1e6, 6e6, 1e8, 1e12])
+def test_long_times_stay_within_the_rounding_bound_or_are_refused(gt):
+    # the frame generator's 1-norm is 4 at equal rates, so eps 2^s passes
+    # 1e-9 at s = 23 squarings, from g t = 2^22 theta_13 / 4 ~ 5.6e6 on;
+    # near there eps g t is 1e-9 too, and both engines are about that far
+    # from the 50-digit closed form
+    params, qubit, p = SystemParams(1.0, 1.0, 0.5, 0.5, 0.5), QubitAmplitudes(0.6, 0.8j), 0.3
+    rho0 = apply_measurement_qubit1(qubit, p).state
+    if gt > 5.6e6:
+        with pytest.raises(FloatingPointError, match="squarings of the propagators"):
+            integrate(params, rho0, [gt], scaled=True)
+        return
+    expected = analytic_rho(qubit, p, 0.5, gt, scaled=True)
+    np.testing.assert_allclose(integrate(params, rho0, [gt], scaled=True)[0], expected, rtol=0, atol=1e-9)
+
+
 _amplitudes = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
     lambda ap: QubitAmplitudes(ap[0], math.sqrt(1.0 - ap[0] ** 2) * cmath.exp(1j * ap[1]))
 )

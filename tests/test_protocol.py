@@ -166,7 +166,7 @@ def test_analytic_engine_rejects_unequal_rates():
 
 
 def test_nan_transfer_time_rejected():
-    with pytest.raises(ValueError, match="transfer_time"):
+    with pytest.raises(ValueError, match=r"transfer_time \('gt'\) must be non-negative"):
         ProtocolSpec(qubit=BALANCED, params=equal_rate_params(1.0), transfer_time=math.nan)
 
 
@@ -179,7 +179,7 @@ def test_formula_rule_needs_equal_rates():
 
 
 def test_transfer_time_required_for_unbalanced_couplings():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"transfer_time \('gt'\) must be given when g1 != g2"):
         ProtocolSpec(qubit=BALANCED, params=SystemParams(1.0, 1.3))
     spec = ProtocolSpec(
         qubit=BALANCED, params=SystemParams(1.0, 1.3), transfer_time=2.0
@@ -381,42 +381,60 @@ def test_run_protocol_matches_the_reference_channel(qubit, p, s, t, formula, q, 
 
 
 # the same protocol under strong decay, e^{-st} down to e^{-500}, where the
-# reference channel's q loses its complement: against the closed-form state
-# scored directly (scaled by lambda under the closed-form q, where w = 1 - p;
-# unscaled at q = 0, where w = c = 1), and against the numeric engine
+# reference channel's q loses its complement, under every q-rule: against
+# the numeric engine, and but for the optimum against the scaled closed-form
+# state scored directly, with w = lambda^2 (1 - q) (1 - p under the formula)
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     qubit=_amplitudes,
     p=st.floats(0.0, 0.99),
     s=st.floats(0.0, 50.0),
     t=st.floats(0.0, 10.0),
-    formula=st.booleans(),
+    rule=st.sampled_from(["formula", "fixed", "optimal"]),
+    log_c=st.floats(-36.0, 0.0),  # a fixed q = -expm1(log_c) below 1 in floats
     sigma_z=st.booleans(),
     g1=st.floats(0.2, 2.0),
     g2=st.floats(0.2, 2.0),
 )
 def test_run_protocol_matches_the_closed_form_under_strong_decay(
-    qubit, p, s, t, formula, sigma_z, g1, g2
+    qubit, p, s, t, rule, log_c, sigma_z, g1, g2
 ):
+    q = -math.expm1(log_c)
     spec = ProtocolSpec(
         qubit=qubit,
         params=SystemParams(g1, g2, s, s, s),
         p=p,
-        q_rule="formula" if formula else "fixed",
-        q_value=None if formula else 0.0,
+        q_rule=rule,
+        q_value=q if rule == "fixed" else None,
         transfer_time=t,
         apply_sigma_z=sigma_z,
     )
     outcome = run_protocol(spec)
-    rho = analytic_rho(qubit, p, s, t, g1, g2, scaled=formula)
-    w, c = (1.0 - p, (1.0 - p) * math.exp(-s * t)) if formula else (1.0, 1.0)
-    fidelity, success = reversal_outcome(
-        qubit, rho[0, 0].real, rho[0, 3], rho[3, 3].real, np.trace(rho).real, w, c, sigma_z
-    )
     numeric = run_protocol(replace(spec, engine="numeric"))
-    for reference in ((fidelity, success), (numeric.fidelity, numeric.reversal_success)):
+    references = [(numeric.fidelity, numeric.reversal_success)]
+    if rule != "optimal":
+        rho = analytic_rho(qubit, p, s, t, g1, g2, scaled=True)
+        c = (1.0 - p) * math.exp(-s * t) if rule == "formula" else 1.0 - q
+        w = 1.0 - p if rule == "formula" else math.exp(s * t) * c
+        references.append(reversal_outcome(
+            qubit, rho[0, 0].real, rho[0, 3], rho[3, 3].real, np.trace(rho).real, w, c, sigma_z
+        ))
+    for reference in references:
         assert abs(outcome.fidelity - reference[0]) <= 1e-12
         assert abs(outcome.reversal_success - reference[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("engine", ["analytic", "numeric"])
+@pytest.mark.parametrize("s", [1e3, 1e5])
+def test_strong_decay_limits_of_the_balanced_state(engine, s):
+    # at the full-transfer time, as s/g -> infinity, the target sees
+    # (v^2/2 + v/2 + 1/4) / (v^2 + 1/2) of the scaled state, in v = sqrt(w):
+    # the formula rule has w = 1 - p = 1, 5/6, and the optimum v = 1/sqrt(2),
+    # (2 + sqrt(2))/4; true values, not recorded output
+    params = equal_rate_params(s)
+    for rule, limit in (("formula", 5 / 6), ("optimal", (2 + SQRT2) / 4)):
+        outcome = run_protocol(ProtocolSpec(qubit=BALANCED, params=params, q_rule=rule, engine=engine))
+        assert abs(outcome.fidelity - limit) <= 1e-9, rule
 
 
 def test_reversal_outcome_rejects_an_empty_branch():
