@@ -151,12 +151,13 @@ def regenerate(names, golden: Path = GOLDEN) -> None:
             shutil.move(_run(CASES[name], Path(scratch)), golden / name)
 
 
-def test_regenerate_rewrites_only_the_named_case(tmp_path, capsys):
+def check_regenerate(tmp_path: Path, named: "tuple[str, ...]") -> None:
+    """Regenerate the named cases in a copy of the golden set whose every case
+    holds a stale file, and check that only the named cases are rewritten."""
     copy = tmp_path / "golden"
     shutil.copytree(GOLDEN, copy)
     for case in CASES:
         (copy / case / "stale.csv").write_text("untouched\n")
-    named = ("fig2", "protocol_pinned")  # one case of each kind
     regenerate(named, copy)
     assert (copy / "cases.json").read_bytes() == (GOLDEN / "cases.json").read_bytes()
     for case in CASES:
@@ -166,8 +167,12 @@ def test_regenerate_rewrites_only_the_named_case(tmp_path, capsys):
         for path in (GOLDEN / case).iterdir():
             assert (copy / case / path.name).read_bytes() == path.read_bytes(), (case, path.name)
         assert (copy / case / "stale.csv").read_text() == "untouched\n"
+
+
+def test_regenerate_rewrites_only_the_named_case(tmp_path, capsys):
+    check_regenerate(tmp_path, ("fig2",))  # unpinned; tests/test_golden_bytes.py regenerates a pinned case
     with pytest.raises(KeyError):
-        regenerate(["no_such_case"], copy)
+        regenerate(["no_such_case"], tmp_path / "golden")
 
 
 if __name__ == "__main__":
